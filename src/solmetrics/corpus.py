@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .inheritance import build_inheritance_graph
 from .lexer import Token, tokenize
 from .metrics import METRIC_NAMES, ContractMetrics, contract_metrics
 from .nodes import ContractDef, LineCounts, SourceUnit
-from .parser import line_accounting, parse_file
+from .parser import TokenIndex, index_tokens, line_accounting, parse_file
 
 LABEL_VULNERABLE = "vulnerable"
 LABEL_NEUTRAL = "neutral"
@@ -128,15 +129,20 @@ def load_manifest(path: str) -> CorpusManifest:
     return CorpusManifest(tuple(entries), path, content_hash)
 
 
-def normalized_contract_text(tokens: list[Token], contract: ContractDef) -> str:
-    """Comment-stripped, whitespace-normalized text of one contract span."""
+def normalized_contract_text(
+    tokens: list[Token], contract: ContractDef, index: TokenIndex | None = None
+) -> str:
+    """Comment-stripped, whitespace-normalized text of one contract span.
+
+    Joins the code tokens lying wholly inside the span, found by bisecting
+    the file's :class:`TokenIndex` (built from ``tokens`` when omitted).
+    """
+    if index is None:
+        index = index_tokens(tokens)
     first, last = contract.span
-    parts = [
-        t.text
-        for t in tokens
-        if not t.is_comment and first <= t.start_line and t.end_line <= last
-    ]
-    return " ".join(parts)
+    lo = bisect_left(index.code_starts, first)
+    hi = bisect_right(index.code_ends, last)
+    return " ".join(index.code_texts[lo:hi])
 
 
 @dataclass
@@ -164,11 +170,12 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
     except LexError as exc:
         return _ParsedFile(file, error=f"lex error: {exc}")
     unit = parse_file(tokens, file)
+    index = index_tokens(tokens)
     per_contract = {}
     for contract in unit.contracts:
-        lines = line_accounting(source, contract, tokens)
+        lines = line_accounting(source, contract, tokens, index)
         digest = hashlib.sha256(
-            normalized_contract_text(tokens, contract).encode("utf-8")
+            normalized_contract_text(tokens, contract, index).encode("utf-8")
         ).hexdigest()
         per_contract[contract.name] = (lines, digest)
     return _ParsedFile(file, unit=unit, per_contract=per_contract)
@@ -193,10 +200,7 @@ def ingest(
     :class:`CorpusError` when more than half of the entries skip for
     reasons other than deduplication, or on an inheritance cycle.
     """
-    files: list[str] = []
-    for entry in manifest.entries:
-        if entry.file not in files:
-            files.append(entry.file)
+    files = list(dict.fromkeys(entry.file for entry in manifest.entries))
     parsed = {pf.file: pf for pf in parse_files(source_root, files, jobs)}
 
     diagnostics: list[str] = []
@@ -207,6 +211,11 @@ def ingest(
 
     units = [pf.unit for pf in parsed.values() if pf.unit is not None]
     graph = build_inheritance_graph(units)
+    contracts_by_file = {
+        file: {c.name: c for c in pf.unit.contracts}
+        for file, pf in parsed.items()
+        if pf.unit is not None
+    }
 
     rows: list[ContractRow] = []
     seen_hashes: dict[str, str] = {}
@@ -217,8 +226,7 @@ def ingest(
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped ({pf.error})")
             error_skips += 1
             continue
-        assert pf.unit is not None
-        contract = next((c for c in pf.unit.contracts if c.name == entry.contract), None)
+        contract = contracts_by_file[entry.file].get(entry.contract)
         if contract is None:
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped (contract not found)")
             error_skips += 1

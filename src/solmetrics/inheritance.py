@@ -16,7 +16,10 @@ class InheritanceGraph:
 
     A base name resolves to a contract in the same file first, then to a
     corpus-wide unique name. Anything else lands in ``unresolved_bases``
-    and still contributes one terminal ancestor to DIT/NOA.
+    and still contributes one terminal ancestor to DIT/NOA. The builder
+    also indexes the unresolved names by contract key, so a query reads
+    one contract's unresolved bases with a dict lookup instead of a scan
+    of the corpus-wide set.
     """
 
     nodes: set[ContractKey] = field(default_factory=set)
@@ -24,21 +27,35 @@ class InheritanceGraph:
     unresolved_bases: set[tuple[ContractKey, str]] = field(default_factory=set)
     _bases: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
     _derived: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
+    _unresolved: dict[ContractKey, set[str]] = field(default_factory=dict, repr=False)
     _dit_cache: dict[ContractKey, int] = field(default_factory=dict, repr=False)
 
     def unresolved_of(self, key: ContractKey) -> set[str]:
-        return {name for (k, name) in self.unresolved_bases if k == key}
+        return set(self._unresolved.get(key, ()))
 
     def dit(self, key: ContractKey) -> int:
-        """Longest ancestor path; an unresolved base is a path of length 1."""
-        cached = self._dit_cache.get(key)
-        if cached is not None:
-            return cached
-        best = 1 if self.unresolved_of(key) else 0
-        for base in self._bases.get(key, ()):
-            best = max(best, 1 + self.dit(base))
-        self._dit_cache[key] = best
-        return best
+        """Longest ancestor path; an unresolved base is a path of length 1.
+
+        Walks the bases in post-order with an explicit stack, memoizing
+        every contract it finishes, so chain depth is not bounded by the
+        interpreter's recursion limit.
+        """
+        cache = self._dit_cache
+        stack = [key]
+        while stack:
+            node = stack[-1]
+            if node in cache:
+                stack.pop()
+                continue
+            bases = self._bases.get(node, ())
+            pending = [b for b in bases if b not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            best = 1 if node in self._unresolved else 0
+            cache[node] = max([best] + [1 + cache[b] for b in bases])
+        return cache[key]
 
     def ancestors(self, key: ContractKey) -> set[ContractKey]:
         return self._reachable(key, self._bases)
@@ -93,6 +110,7 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
                     bases.append(candidates[0])
                 else:
                     graph.unresolved_bases.add((key, base_name))
+                    graph._unresolved.setdefault(key, set()).add(base_name)
             graph._bases[key] = bases
             for base in bases:
                 graph.edges.add((key, base))

@@ -99,17 +99,6 @@ def line_start_offsets(source: str) -> list[int]:
     return starts
 
 
-def split_lines(source: str) -> list[str]:
-    """Split on \\r\\n, \\r or \\n (lone CR is a line break)."""
-    return _LINE_BREAK_RE.split(source)
-
-
-def count_lines(source: str) -> int:
-    if not source:
-        return 0
-    return len(split_lines(source))
-
-
 def slice_span(source: str, span: tuple[int, int, int, int]) -> str:
     """Source text covered by a token span (inclusive on both ends)."""
     starts = line_start_offsets(source)

@@ -25,25 +25,6 @@ BREAK = "break"
 CONTINUE = "continue"
 REQUIRE_LIKE = "require-like"
 
-STATEMENT_KINDS = frozenset(
-    {
-        IF,
-        FOR,
-        WHILE,
-        DO_WHILE,
-        RETURN,
-        EMIT,
-        EXPRESSION,
-        VARIABLE_DECLARATION,
-        BLOCK,
-        UNCHECKED_BLOCK,
-        ASSEMBLY_OPAQUE,
-        BREAK,
-        CONTINUE,
-        REQUIRE_LIKE,
-    }
-)
-
 LOOP_KINDS = frozenset({FOR, WHILE, DO_WHILE})
 
 # Statements that are neither conditional nor executable on their own.

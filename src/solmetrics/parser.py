@@ -8,8 +8,12 @@ produces one diagnostic while the rest of the file is still parsed
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
+
 from .errors import ParseError
 from .lexer import (
+    COMMENT_KINDS,
     IDENTIFIER,
     KEYWORD,
     PRAGMA_DIRECTIVE,
@@ -1018,21 +1022,70 @@ def parse_source(source: str, path: str = "<string>") -> SourceUnit:
     return parse_file(tokenize(source), path)
 
 
-def line_accounting(source: str, contract: ContractDef, tokens: list[Token]) -> LineCounts:
+@dataclass(frozen=True)
+class TokenIndex:
+    """Per-file facts that make span queries cost O(contract), not O(file).
+
+    ``code_upto[n]`` and ``comment_upto[n]`` count the lines 1..n touched by
+    a code token and by a comment token, so the count over any line span is
+    one subtraction. ``code_texts`` lists the code tokens in stream order;
+    their ``code_starts`` and ``code_ends`` lines never decrease, so the code
+    tokens lying inside a line span are one contiguous slice.
+    """
+
+    code_upto: list[int]
+    comment_upto: list[int]
+    code_texts: list[str]
+    code_starts: list[int]
+    code_ends: list[int]
+
+
+def index_tokens(tokens: list[Token]) -> TokenIndex:
+    """Build a file's :class:`TokenIndex` in one pass over its tokens."""
+    n_lines = tokens[-1].span[2] if tokens else 0
+    code = bytearray(n_lines + 1)
+    comment = bytearray(n_lines + 1)
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    for t in tokens:
+        first, _, last, _ = t.span
+        if t.kind in COMMENT_KINDS:
+            flags = comment
+        else:
+            flags = code
+            texts.append(t.text)
+            starts.append(first)
+            ends.append(last)
+        for line in range(first, last + 1):
+            flags[line] = 1
+    return TokenIndex(list(accumulate(code)), list(accumulate(comment)), texts, starts, ends)
+
+
+def _lines_in(upto: list[int], first: int, last: int) -> int:
+    lo, hi = max(first, 1), min(last, len(upto) - 1)
+    return upto[hi] - upto[lo - 1] if lo <= hi else 0
+
+
+def line_accounting(
+    source: str, contract: ContractDef, tokens: list[Token], index: TokenIndex | None = None
+) -> LineCounts:
     """Source/logical/comment line counts over one contract's span.
 
     sloc spans the whole contract including blanks; lloc counts lines with
     at least one non-comment token; cloc counts lines touched by a comment
     token. A mixed code+comment line counts toward both lloc and cloc.
+
+    The counts come from the file's :class:`TokenIndex` in O(1); pass the
+    index built once per file by :func:`index_tokens`, or omit it to build
+    one from ``tokens``. Contracts sharing a line, or a block comment
+    crossing a contract boundary, count that line in each span it touches.
     """
+    if index is None:
+        index = index_tokens(tokens)
     first, last = contract.span
-    code_lines: set[int] = set()
-    comment_lines: set[int] = set()
-    for t in tokens:
-        lo = max(t.start_line, first)
-        hi = min(t.end_line, last)
-        if lo > hi:
-            continue
-        target = comment_lines if t.is_comment else code_lines
-        target.update(range(lo, hi + 1))
-    return LineCounts(sloc=last - first + 1, lloc=len(code_lines), cloc=len(comment_lines))
+    return LineCounts(
+        sloc=last - first + 1,
+        lloc=_lines_in(index.code_upto, first, last),
+        cloc=_lines_in(index.comment_upto, first, last),
+    )

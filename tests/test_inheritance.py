@@ -86,3 +86,13 @@ def test_unresolved_base_of_ancestor_extends_dit():
     assert g.dit(a) == 2
     # noa counts only the contract's own unresolved bases
     assert g.noa(a) == 1
+
+
+def test_deep_chain_does_not_recurse():
+    depth = 1500
+    parts = ["contract C0 {}"] + [f"contract C{i} is C{i - 1} {{}}" for i in range(1, depth)]
+    g = graph_of("\n".join(parts))
+    leaf, root = ("f0.sol", f"C{depth - 1}"), ("f0.sol", "C0")
+    assert g.dit(leaf) == depth - 1
+    assert g.noa(leaf) == depth - 1
+    assert g.nod(root) == depth - 1
