@@ -14,16 +14,10 @@ import sys
 from . import __version__
 from .corpus import export_metrics, ingest, load_manifest, parse_files
 from .errors import CorpusError, InputError
-from .inheritance import build_inheritance_graph
-from .metrics import METRIC_NAMES, contract_metrics
-from .pipeline import (
-    RunConfig,
-    rq1_redundancy,
-    rq2_metric_vs_vulnerability,
-    rq3_discriminative,
-    rq4_interval_comparison,
-    run_analysis,
-)
+# Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
+from .inheritance import build_inheritance_graph  # noqa: F401
+from .metrics import METRIC_NAMES, contract_metrics  # noqa: F401
+from .pipeline import ANALYSES, RunConfig, run_analysis, run_record, run_section
 from .reports import hash_outputs, write_report, write_run_manifest, write_section
 
 EXIT_OK = 0
@@ -66,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = subs.add_parser("analyze", help="run all four analyses over a labeled corpus")
     _add_run_flags(p_analyze)
 
-    for key in ("rq1", "rq2", "rq3", "rq4"):
+    for key in ANALYSES:
         p_single = subs.add_parser(key, help=f"run only the {key} analysis")
         _add_run_flags(p_single)
 
@@ -77,27 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_metrics(paths: list[str], jobs: int) -> int:
-    parsed = parse_files("", list(paths), jobs)
     diagnostics: list[str] = []
-    units = []
-    for pf in parsed:
-        if pf.error is not None:
-            diagnostics.append(f"{pf.file}:1: {pf.error}")
-            continue
-        assert pf.unit is not None
-        diagnostics.extend(str(d) for d in pf.unit.diagnostics)
-        units.append(pf)
-    try:
-        graph = build_inheritance_graph([pf.unit for pf in units])
-    except CorpusError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
     rows = []
-    for pf in units:
-        for contract in pf.unit.contracts:
-            lines, _ = pf.per_contract[contract.name]
-            metrics = contract_metrics(contract, lines, graph, pf.file)
-            rows.append((pf.file, contract.name, metrics))
+    for pf in parse_files("", list(paths), jobs):
+        if pf.error is not None:
+            diagnostics.append(f"{pf.path}:1: {pf.error}")
+        diagnostics.extend(pf.diagnostics)
+        rows.extend((pf.path, facts.name, facts.metrics) for facts in pf.contracts)
     rows.sort(key=lambda r: (r[0], r[1]))
     for message in diagnostics:
         print(message, file=sys.stderr)
@@ -146,32 +126,10 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_single(key: str, config: RunConfig) -> int:
     contract_set = _ingest_for(config)
-    alpha = config.significance
-    if key == "rq1":
-        section = rq1_redundancy(contract_set, config.redundancy_threshold, alpha)
-    elif key == "rq2":
-        section = rq2_metric_vs_vulnerability(contract_set, alpha)
-    elif key == "rq3":
-        section = rq3_discriminative(contract_set, config.seed, alpha)
-    else:
-        section = rq4_interval_comparison(contract_set, config.ci_level)
+    section = run_section(key, contract_set, config)
     written = write_section(key, section, config.output_dir, config.formats)
     outputs = hash_outputs(config.output_dir, written)
-    config_dict = {
-        "source_root": config.source_root,
-        "manifest": config.manifest,
-        "seed": config.seed,
-        "ci_level": config.ci_level,
-        "redundancy_threshold": config.redundancy_threshold,
-        "significance": config.significance,
-        "dataset": {
-            "manifest_path": contract_set.provenance[0],
-            "sha256": contract_set.provenance[1],
-            "n_vulnerable": contract_set.n_vulnerable,
-            "n_neutral": contract_set.n_neutral,
-        },
-    }
-    write_run_manifest(config.output_dir, config_dict, __version__, outputs)
+    write_run_manifest(config.output_dir, run_record(contract_set, config), __version__, outputs)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 
@@ -193,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _config_from_args(args)
         if args.command == "analyze":
             return cmd_analyze(config)
-        if args.command in ("rq1", "rq2", "rq3", "rq4"):
+        if args.command in ANALYSES:
             return cmd_single(args.command, config)
         if args.command == "export":
             return cmd_export(config)

@@ -15,13 +15,13 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CorpusError, LexError
-from .inheritance import build_inheritance_graph
+from .inheritance import InheritanceGraph, build_inheritance_graph
 from .lexer import Token, tokenize
 from .metrics import METRIC_NAMES, ContractMetrics, contract_metrics
-from .nodes import ContractDef, LineCounts, SourceUnit
+from .nodes import ContractDef
 from .parser import TokenIndex, index_tokens, line_accounting, parse_file
 
 LABEL_VULNERABLE = "vulnerable"
@@ -76,6 +76,17 @@ class LabeledContractSet:
         return (self.n_vulnerable, self.n_neutral)
 
 
+def _check_label(row: str, label: str, vuln_type: str | None) -> None:
+    """The label policy of manifests and imported tables; errors name ``row``."""
+    if label not in (LABEL_VULNERABLE, LABEL_NEUTRAL):
+        raise CorpusError(f"{row}: unknown label {label!r}")
+    if vuln_type is not None:
+        if label != LABEL_VULNERABLE:
+            raise CorpusError(f"{row}: type tag only allowed on vulnerable rows")
+        if vuln_type not in VULNERABILITY_TYPES:
+            raise CorpusError(f"{row}: unknown vulnerability type {vuln_type!r}")
+
+
 def load_manifest(path: str) -> CorpusManifest:
     """Load and validate a corpus manifest.
 
@@ -112,15 +123,7 @@ def load_manifest(path: str) -> CorpusManifest:
         vuln_type = parts[3] if len(parts) == 4 and parts[3] else None
         if not file or not contract:
             raise CorpusError(f"manifest row {lineno}: empty file or contract name")
-        if label not in (LABEL_VULNERABLE, LABEL_NEUTRAL):
-            raise CorpusError(f"manifest row {lineno}: unknown label {label!r}")
-        if vuln_type is not None:
-            if label != LABEL_VULNERABLE:
-                raise CorpusError(
-                    f"manifest row {lineno}: type tag only allowed on vulnerable rows"
-                )
-            if vuln_type not in VULNERABILITY_TYPES:
-                raise CorpusError(f"manifest row {lineno}: unknown vulnerability type {vuln_type!r}")
+        _check_label(f"manifest row {lineno}", label, vuln_type)
         key = (file, contract)
         if key in seen:
             raise CorpusError(f"manifest row {lineno}: duplicate entry for {file}:{contract}")
@@ -146,14 +149,29 @@ def normalized_contract_text(
 
 
 @dataclass
+class ContractFacts:
+    """One parsed contract as a worker sends it back, without its parse tree."""
+
+    name: str
+    base_names: list[str]
+    digest: str
+    metrics: ContractMetrics
+
+
+@dataclass
 class _ParsedFile:
-    file: str
+    path: str
     error: str | None = None
-    unit: SourceUnit | None = None
-    per_contract: dict[str, tuple[LineCounts, str]] = field(default_factory=dict)
+    contracts: list[ContractFacts] = field(default_factory=list)
+    diagnostics: list[str] = field(default_factory=list)
 
 
 def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
+    """Read, parse and measure one file; the parse tree stays in this process.
+
+    Each contract's DIT, NOA and NOD are the ones it gives alone, measured
+    against an empty inheritance graph.
+    """
     root, file = args
     full = os.path.join(root, file)
     try:
@@ -171,29 +189,44 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
         return _ParsedFile(file, error=f"lex error: {exc}")
     unit = parse_file(tokens, file)
     index = index_tokens(tokens)
-    per_contract = {}
+    alone = InheritanceGraph()
+    contracts = []
     for contract in unit.contracts:
         lines = line_accounting(source, contract, tokens, index)
         digest = hashlib.sha256(
             normalized_contract_text(tokens, contract, index).encode("utf-8")
         ).hexdigest()
-        per_contract[contract.name] = (lines, digest)
-    return _ParsedFile(file, unit=unit, per_contract=per_contract)
+        metrics = contract_metrics(contract, lines, alone, file)
+        contracts.append(ContractFacts(contract.name, contract.base_names, digest, metrics))
+    return _ParsedFile(file, contracts=contracts, diagnostics=[str(d) for d in unit.diagnostics])
 
 
 def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]:
-    """Parse many files, optionally across processes, preserving input order."""
+    """Parse and measure many files, optionally across processes, in input order.
+
+    One inheritance graph over all the files then sets every contract's
+    DIT, NOA and NOD. Raises :class:`CorpusError` on an inheritance cycle.
+    """
     tasks = [(root, f) for f in files]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_parse_sol_file, tasks, chunksize=16))
-    return [_parse_sol_file(t) for t in tasks]
+            parsed = list(pool.map(_parse_sol_file, tasks, chunksize=16))
+    else:
+        parsed = [_parse_sol_file(t) for t in tasks]
+    graph = build_inheritance_graph(parsed)
+    for pf in parsed:
+        for facts in pf.contracts:
+            key = (pf.path, facts.name)
+            facts.metrics = replace(
+                facts.metrics, dit=graph.dit(key), noa=graph.noa(key), nod=graph.nod(key)
+            )
+    return parsed
 
 
 def ingest(
     manifest: CorpusManifest, source_root: str, jobs: int = 1
 ) -> LabeledContractSet:
-    """Run the frontend and metric engine over every manifest entry.
+    """Join the metric facts of every manifest entry's file with its label.
 
     Each entry either becomes a row or a skip diagnostic; duplicate
     contract bodies keep their first occurrence. Raises
@@ -201,21 +234,9 @@ def ingest(
     reasons other than deduplication, or on an inheritance cycle.
     """
     files = list(dict.fromkeys(entry.file for entry in manifest.entries))
-    parsed = {pf.file: pf for pf in parse_files(source_root, files, jobs)}
-
-    diagnostics: list[str] = []
-    for file in files:
-        pf = parsed[file]
-        if pf.unit is not None:
-            diagnostics.extend(str(d) for d in pf.unit.diagnostics)
-
-    units = [pf.unit for pf in parsed.values() if pf.unit is not None]
-    graph = build_inheritance_graph(units)
-    contracts_by_file = {
-        file: {c.name: c for c in pf.unit.contracts}
-        for file, pf in parsed.items()
-        if pf.unit is not None
-    }
+    parsed = {pf.path: pf for pf in parse_files(source_root, files, jobs)}
+    diagnostics = [d for pf in parsed.values() for d in pf.diagnostics]
+    facts_by_key = {(pf.path, c.name): c for pf in parsed.values() for c in pf.contracts}
 
     rows: list[ContractRow] = []
     seen_hashes: dict[str, str] = {}
@@ -226,20 +247,20 @@ def ingest(
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped ({pf.error})")
             error_skips += 1
             continue
-        contract = contracts_by_file[entry.file].get(entry.contract)
-        if contract is None:
+        facts = facts_by_key.get((entry.file, entry.contract))
+        if facts is None:
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped (contract not found)")
             error_skips += 1
             continue
-        lines, digest = pf.per_contract[entry.contract]
-        if digest in seen_hashes:
+        if facts.digest in seen_hashes:
             diagnostics.append(
-                f"{entry.file}:{entry.contract}: duplicate of {seen_hashes[digest]}"
+                f"{entry.file}:{entry.contract}: duplicate of {seen_hashes[facts.digest]}"
             )
             continue
-        seen_hashes[digest] = f"{entry.file}:{entry.contract}"
-        metrics = contract_metrics(contract, lines, graph, entry.file)
-        rows.append(ContractRow(entry.file, entry.contract, metrics, entry.label, entry.vuln_type))
+        seen_hashes[facts.digest] = f"{entry.file}:{entry.contract}"
+        rows.append(
+            ContractRow(entry.file, entry.contract, facts.metrics, entry.label, entry.vuln_type)
+        )
 
     if len(manifest.entries) > 1 and error_skips / len(manifest.entries) > 0.5:
         raise CorpusError(
@@ -308,8 +329,28 @@ def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv"
     return path
 
 
+def _imported_row(
+    row: str, file: str, contract: str, values: dict, label: str, vuln_type: str | None
+) -> ContractRow:
+    _check_label(row, label, vuln_type)
+    try:
+        metrics = ContractMetrics(
+            **{
+                name: int(values[name]) if name in _INT_METRICS else float(values[name])
+                for name in METRIC_NAMES
+            }
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{row}: bad metric value ({exc!r})") from exc
+    return ContractRow(file, contract, metrics, label, vuln_type)
+
+
 def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
-    """Read a table produced by :func:`export_metrics` back into a set."""
+    """Read a table produced by :func:`export_metrics` back into a set.
+
+    Rows are validated like manifest rows; a short row, a bad metric value
+    or a bad label raises :class:`CorpusError` naming the row.
+    """
     rows: list[ContractRow] = []
     if fmt == "csv":
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -317,29 +358,26 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
             header = tuple(next(reader))
             if header != EXPORT_HEADER:
                 raise CorpusError(f"unexpected export header in {path!r}")
-            for record in reader:
-                file, contract = record[0], record[1]
-                values = record[2 : 2 + len(METRIC_NAMES)]
-                label, vuln_type = record[-2], record[-1] or None
-                kwargs = {}
-                for name, value in zip(METRIC_NAMES, values):
-                    kwargs[name] = int(value) if name in _INT_METRICS else float(value)
+            for lineno, record in enumerate(reader, start=2):
+                row = f"{path!r} row {lineno}"
+                if len(record) != len(EXPORT_HEADER):
+                    raise CorpusError(
+                        f"{row}: expected {len(EXPORT_HEADER)} fields, got {len(record)}"
+                    )
+                values = dict(zip(METRIC_NAMES, record[2:-2]))
                 rows.append(
-                    ContractRow(file, contract, ContractMetrics(**kwargs), label, vuln_type)
+                    _imported_row(row, record[0], record[1], values, record[-2], record[-1] or None)
                 )
     elif fmt == "json":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        for item in payload["rows"]:
-            kwargs = {
-                name: (int(v) if name in _INT_METRICS else float(v))
-                for name, v in item["metrics"].items()
-            }
+        for i, item in enumerate(payload["rows"]):
             rows.append(
-                ContractRow(
+                _imported_row(
+                    f"{path!r} rows[{i}]",
                     item["file"],
                     item["contract"],
-                    ContractMetrics(**kwargs),
+                    item["metrics"],
                     item["label"],
                     item.get("type"),
                 )

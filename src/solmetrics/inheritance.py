@@ -86,6 +86,9 @@ class InheritanceGraph:
 def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
     """Resolve every base name across a parsed corpus.
 
+    Reads only each unit's ``path`` and its contracts' ``name`` and
+    ``base_names``, so per-file metric facts serve as well as parse trees.
+
     Raises :class:`CorpusError` naming the cycle if the resolved subgraph
     is cyclic.
     """

@@ -954,8 +954,9 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
     """Parse a token stream into a source unit.
 
     Every well-formed top-level contract/interface/library becomes one
-    :class:`ContractDef`; a malformed one becomes a diagnostic and parsing
-    resumes at the next top-level construct. Duplicate contract names within
+    :class:`ContractDef`; a malformed one, or one nested too deep for the
+    recursive-descent parser, becomes a diagnostic and parsing resumes at
+    the next top-level construct. Duplicate contract names within
     a file keep the first definition and diagnose the rest.
     """
     code = [t for t in tokens if not t.is_comment]
@@ -989,7 +990,9 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
         if t.kind == KEYWORD and (t.text in _CONTRACT_KINDS or t.text == "abstract"):
             try:
                 contract = _parse_contract(cur)
-            except ParseError as exc:
+            except (ParseError, RecursionError) as exc:
+                if isinstance(exc, RecursionError):
+                    exc = ParseError("nesting too deep", t.start_line)
                 diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
                 _recover_to_top_level(cur)
                 continue

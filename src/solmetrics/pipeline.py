@@ -273,28 +273,46 @@ def rq4_interval_comparison(
     return Rq4Section(tuple(rows), level)
 
 
+ANALYSES = ("rq1", "rq2", "rq3", "rq4")
+
+
+def run_section(
+    key: str, contract_set: LabeledContractSet, config: RunConfig
+) -> Rq1Section | Rq2Section | Rq3Section | Rq4Section:
+    """Run the analysis named by one of :data:`ANALYSES` under ``config``."""
+    alpha = config.significance
+    if key == "rq1":
+        return rq1_redundancy(contract_set, config.redundancy_threshold, alpha)
+    if key == "rq2":
+        return rq2_metric_vs_vulnerability(contract_set, alpha)
+    if key == "rq3":
+        return rq3_discriminative(contract_set, config.seed, alpha)
+    if key == "rq4":
+        return rq4_interval_comparison(contract_set, config.ci_level)
+    raise InputError(f"unknown analysis {key!r}")
+
+
+def run_record(contract_set: LabeledContractSet, config: RunConfig) -> dict:
+    """The ``config`` block of ``run_manifest.json``: settings plus dataset provenance."""
+    return {
+        "source_root": config.source_root,
+        "manifest": config.manifest,
+        "seed": config.seed,
+        "ci_level": config.ci_level,
+        "redundancy_threshold": config.redundancy_threshold,
+        "significance": config.significance,
+        "dataset": {
+            "manifest_path": contract_set.provenance[0],
+            "sha256": contract_set.provenance[1],
+            "n_vulnerable": contract_set.n_vulnerable,
+            "n_neutral": contract_set.n_neutral,
+        },
+    }
+
+
 def run_analysis(contract_set: LabeledContractSet, config: RunConfig) -> AnalysisReport:
     """Execute all four analyses under one configuration."""
-    alpha = config.significance
-    report = AnalysisReport(
-        rq1=rq1_redundancy(contract_set, config.redundancy_threshold, alpha),
-        rq2=rq2_metric_vs_vulnerability(contract_set, alpha),
-        rq3=rq3_discriminative(contract_set, config.seed, alpha),
-        rq4=rq4_interval_comparison(contract_set, config.ci_level),
-        counts=contract_set.counts,
-        config={
-            "source_root": config.source_root,
-            "manifest": config.manifest,
-            "seed": config.seed,
-            "ci_level": config.ci_level,
-            "redundancy_threshold": config.redundancy_threshold,
-            "significance": config.significance,
-            "dataset": {
-                "manifest_path": contract_set.provenance[0],
-                "sha256": contract_set.provenance[1],
-                "n_vulnerable": contract_set.n_vulnerable,
-                "n_neutral": contract_set.n_neutral,
-            },
-        },
+    sections = {key: run_section(key, contract_set, config) for key in ANALYSES}
+    return AnalysisReport(
+        **sections, counts=contract_set.counts, config=run_record(contract_set, config)
     )
-    return report

@@ -79,17 +79,15 @@ def _as_finite_array(values, name: str = "values") -> np.ndarray:
 
 
 def _average_ranks(arr: np.ndarray) -> np.ndarray:
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    n = arr.size
-    while i < n:
-        j = i
-        while j + 1 < n and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    # a tie group ending at 1-based position e with c members has mean rank e - (c-1)/2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _centred_ranks(arr: np.ndarray) -> np.ndarray:
+    r = _average_ranks(arr)
+    r -= r.mean()
+    return r
 
 
 def rank(values) -> RankedVector:
@@ -141,23 +139,10 @@ def _strength(rho: float) -> str:
     return STRENGTH_STRONG
 
 
-def spearman(x, y, alpha: float = SIGNIFICANCE_DEFAULT) -> SpearmanResult:
-    """Tie-aware Spearman rank correlation with a Student-t significance test."""
-    ax = _as_finite_array(x, "x")
-    ay = _as_finite_array(y, "y")
-    if ax.size != ay.size:
-        raise InputError("x and y must have the same length")
-    n = int(ax.size)
-    if n < 3:
-        raise InputError("need at least 3 observations")
-    if np.all(ax == ax[0]) or np.all(ay == ay[0]):
-        raise DegenerateInputError("constant input vector: rho undefined")
-    rx = _average_ranks(ax)
-    ry = _average_ranks(ay)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
-    rho = float(np.dot(rx, ry)) / denom
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> SpearmanResult:
+    """Spearman result for two centred rank vectors of one length n >= 3."""
+    n = int(rx.size)
+    rho = float(np.dot(rx, ry)) / math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) >= 1.0:
         p = 0.0
@@ -165,6 +150,19 @@ def spearman(x, y, alpha: float = SIGNIFICANCE_DEFAULT) -> SpearmanResult:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = _two_sided_p(t, n - 2)
     return SpearmanResult(rho, p, n, _strength(rho), p <= alpha)
+
+
+def spearman(x, y, alpha: float = SIGNIFICANCE_DEFAULT) -> SpearmanResult:
+    """Tie-aware Spearman rank correlation with a Student-t significance test."""
+    ax = _as_finite_array(x, "x")
+    ay = _as_finite_array(y, "y")
+    if ax.size != ay.size:
+        raise InputError("x and y must have the same length")
+    if ax.size < 3:
+        raise InputError("need at least 3 observations")
+    if np.all(ax == ax[0]) or np.all(ay == ay[0]):
+        raise DegenerateInputError("constant input vector: rho undefined")
+    return _rank_correlation(_centred_ranks(ax), _centred_ranks(ay), alpha)
 
 
 def paired_t_test(x, y) -> TTestResult:
@@ -242,36 +240,16 @@ def correlation_matrix(
     for name, arr in zip(ids, arrays):
         if arr.size != n:
             raise InputError(f"column {name!r} has mismatched length")
-    centered: list[np.ndarray | None] = []
-    sq_norms: list[float] = []
-    for arr in arrays:
-        if np.all(arr == arr[0]):
-            centered.append(None)
-            sq_norms.append(0.0)
-            continue
-        r = _average_ranks(arr)
-        r -= r.mean()
-        centered.append(r)
-        sq_norms.append(float(np.dot(r, r)))
+    centred = [None if np.all(arr == arr[0]) else _centred_ranks(arr) for arr in arrays]
     k = len(arrays)
     grid: list[list[SpearmanResult | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
-        ri = centered[i]
+        ri = centred[i]
         if ri is None:
             continue
         grid[i][i] = SpearmanResult(1.0, 0.0, int(n), _strength(1.0), True)
         for j in range(i + 1, k):
-            rj = centered[j]
-            if rj is None:
-                continue
-            rho = float(np.dot(ri, rj)) / math.sqrt(sq_norms[i] * sq_norms[j])
-            rho = max(-1.0, min(1.0, rho))
-            if abs(rho) >= 1.0:
-                p = 0.0
-            else:
-                t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-                p = _two_sided_p(t, n - 2)
-            cell = SpearmanResult(rho, p, int(n), _strength(rho), p <= alpha)
-            grid[i][j] = cell
-            grid[j][i] = cell
+            rj = centred[j]
+            if rj is not None:
+                grid[i][j] = grid[j][i] = _rank_correlation(ri, rj, alpha)
     return CorrelationMatrix(ids, tuple(tuple(row) for row in grid))

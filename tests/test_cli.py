@@ -93,6 +93,73 @@ def test_metrics_missing_file_diagnostic(tmp_path, capsys):
     assert "gone.sol" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, jobs):
+    body = "if (x) {" * 600 + "x = 1;" + "}" * 600
+    deep = tmp_path / "deep.sol"
+    deep.write_text(
+        f"contract Deep {{ function f(uint x) public {{ {body} }} }}\ncontract B {{}}",
+        encoding="utf-8",
+    )
+    ok = tmp_path / "ok.sol"
+    ok.write_text(GOOD, encoding="utf-8")
+    code, out, err = run_cli(capsys, "metrics", str(deep), str(ok), "--jobs", jobs)
+    assert code == 2
+    assert "nesting too deep" in err
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["B", "A"]
+
+
+CROSS_FILE = {
+    "base.sol": "contract Base is Ownable {\n  uint x;\n  function f() public { x = 1; }\n}",
+    "child.sol": (
+        "contract Child is Base, ERC20 {\n"
+        "  function g(uint a) public { if (a > 1) { x = a; } }\n}"
+    ),
+    "leaf.sol": "contract Leaf is Child {}\ncontract Lone is Missing { uint z; }",
+}
+
+
+@pytest.fixture
+def cross_file_dir(tmp_path, monkeypatch):
+    """Cross-file and unresolved bases, with the source root as working directory."""
+    root = tmp_path / "src"
+    root.mkdir()
+    for name, text in CROSS_FILE.items():
+        (root / name).write_text(text, encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file,contract,label,type\nbase.sol,Base,vulnerable,RE\nchild.sol,Child,neutral,\n"
+        "leaf.sol,Leaf,neutral,\nleaf.sol,Lone,vulnerable,\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(root)
+    return str(manifest), str(tmp_path / "out")
+
+
+def test_metrics_rows_equal_export_columns(cross_file_dir, capsys):
+    manifest, out = cross_file_dir
+    code, metrics_out, _ = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "1")
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "export", "--manifest", manifest, "--root", ".", "--out", out, "--jobs", "1"
+    )
+    assert code == 0
+    with open(os.path.join(out, "metrics.csv"), encoding="utf-8", newline="") as fh:
+        exported = [row[:-2] for row in csv.reader(fh)]
+    rows = list(csv.reader(io.StringIO(metrics_out)))
+    assert rows == exported
+    dit = rows[0].index("dit")
+    assert {row[1]: row[dit] for row in rows[1:]} == {
+        "Base": "1", "Child": "2", "Leaf": "3", "Lone": "1"
+    }
+
+
+def test_metrics_output_jobs_invariant(cross_file_dir, capsys):
+    serial = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "1")
+    parallel = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "3")
+    assert serial == parallel
+
+
 def test_analyze_writes_reports(corpus_dir, capsys):
     manifest, root, out = corpus_dir
     code, _, err = run_cli(
@@ -200,6 +267,15 @@ def test_single_runner_writes_only_its_files(corpus_dir, tmp_path, capsys, key):
     assert "run_manifest.json" in names
     for other in {"rq1", "rq2", "rq3", "rq4"} - {key}:
         assert f"{other}.csv" not in names
+    full = str(tmp_path / "analyze")
+    code, _, _ = run_cli(
+        capsys, "analyze", "--manifest", manifest, "--root", root, "--out", full, "--jobs", "1"
+    )
+    assert code == 0
+    configs = [
+        json.load(open(os.path.join(d, "run_manifest.json")))["config"] for d in (out, full)
+    ]
+    assert configs[0] == configs[1]
 
 
 def test_export_round_trip(corpus_dir, capsys):

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import json
 import os
+import pickle
 
 import pytest
 
 from solmetrics.corpus import (
     LabeledContractSet,
+    _parse_sol_file,
     export_metrics,
     import_metrics,
     ingest,
     load_manifest,
 )
 from solmetrics.errors import CorpusError
+from solmetrics.nodes import ContractDef, FunctionDef, SourceUnit, Statement
 
 SIMPLE = "contract Token {\n  uint supply;\n  function mint() public { supply += 1; }\n}"
 OTHER = "contract Vault {\n  uint locked;\n  function lock() public { locked += 2; }\n}"
@@ -211,6 +215,15 @@ def test_cross_file_inheritance_resolved_in_ingest(make_corpus):
     assert by_name["Base"].nod == 1
 
 
+def test_parse_result_carries_no_parse_tree(tmp_path):
+    (tmp_path / "a.sol").write_text(SIMPLE + "\n" + OTHER, encoding="utf-8")
+    result = _parse_sol_file((str(tmp_path), "a.sol"))
+    assert [c.name for c in result.contracts] == ["Token", "Vault"]
+    data = pickle.dumps(result)
+    for cls in (SourceUnit, ContractDef, FunctionDef, Statement):
+        assert cls.__name__.encode() not in data
+
+
 # ---------------------------------------------------------------------------
 # export / import
 
@@ -267,3 +280,50 @@ def test_export_labels_match_manifest(make_corpus, tmp_path):
         ("a.sol:Token", "vulnerable", "RE"),
         ("b.sol:Vault", "neutral", None),
     ]
+
+
+def _rewrite_csv_row(path, index, edit):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    fields = lines[index].split(",")
+    lines[index] = ",".join(edit(fields))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda f: f[:-2] + ["bogus", ""], "row 3: unknown label 'bogus'"),
+        (lambda f: f[:-2] + ["neutral", "RE"], "row 3: type tag only allowed on vulnerable rows"),
+        (lambda f: f[:-2] + ["vulnerable", "XX"], "row 3: unknown vulnerability type 'XX'"),
+        (lambda f: f[:5], "row 3: expected 25 fields, got 5"),
+        (lambda f: f[:2] + ["many"] + f[3:], "row 3: bad metric value"),
+    ],
+    ids=["unknown-label", "type-on-neutral", "unknown-type", "short-row", "bad-value"],
+)
+def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
+    path = str(tmp_path / "metrics.csv")
+    export_metrics(_small_set(make_corpus), path, "csv")
+    _rewrite_csv_row(path, 2, edit)
+    with pytest.raises(CorpusError, match=message):
+        import_metrics(path, "csv")
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("label", "bogus", r"rows\[1\]: unknown label"),
+        ("type", "RE", r"rows\[1\]: type tag only allowed"),
+        ("metrics", {"sloc": 1}, r"rows\[1\]: bad metric value"),
+    ],
+    ids=["unknown-label", "type-on-neutral", "missing-metric"],
+)
+def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, message):
+    path = str(tmp_path / "metrics.json")
+    export_metrics(_small_set(make_corpus), path, "json")
+    payload = json.load(open(path, encoding="utf-8"))
+    payload["rows"][1][field] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CorpusError, match=message):
+        import_metrics(path, "json")

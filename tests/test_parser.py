@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import (
     ASSEMBLY_OPAQUE,
@@ -77,6 +79,18 @@ def test_unbalanced_braces_diagnosed():
     unit = parse_source("contract A { function f() public { \n")
     assert unit.contracts == []
     assert len(unit.diagnostics) == 1
+
+
+@pytest.mark.parametrize("opener", ["{", "if (x) {"])
+def test_nesting_too_deep_diagnosed_per_contract(opener):
+    body = opener * 600 + "x = 1;" + "}" * 600
+    source = (
+        f"contract A {{}}\ncontract Deep {{\n  function f(uint x) public {{ {body} }}\n}}\n"
+        "contract B { function g() public { } }\n"
+    )
+    unit = parse_source(source, "deep.sol")
+    assert [c.name for c in unit.contracts] == ["A", "B"]
+    assert [str(d) for d in unit.diagnostics] == ["deep.sol:2: line 2: nesting too deep"]
 
 
 def test_pragma_and_imports_recorded():
