@@ -349,13 +349,14 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
     """Read a table produced by :func:`export_metrics` back into a set.
 
     Rows are validated like manifest rows; a short row, a bad metric value
-    or a bad label raises :class:`CorpusError` naming the row.
+    or a bad label raises :class:`CorpusError` naming the row, and a JSON
+    document without a ``rows`` list raises one naming the file.
     """
     rows: list[ContractRow] = []
     if fmt == "csv":
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = tuple(next(reader))
+            header = tuple(next(reader, ()))
             if header != EXPORT_HEADER:
                 raise CorpusError(f"unexpected export header in {path!r}")
             for lineno, record in enumerate(reader, start=2):
@@ -370,11 +371,28 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
                 )
     elif fmt == "json":
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for i, item in enumerate(payload["rows"]):
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{path!r} is not valid JSON: {exc}") from exc
+        items = payload.get("rows") if isinstance(payload, dict) else None
+        if not isinstance(items, list):
+            raise CorpusError(f"{path!r}: expected a JSON object with a 'rows' list")
+        for i, item in enumerate(items):
+            row = f"{path!r} rows[{i}]"
+            if not (
+                isinstance(item, dict)
+                and all(isinstance(item.get(key), str) for key in ("file", "contract", "label"))
+                and isinstance(item.get("type"), (str, type(None)))
+                and isinstance(item.get("metrics"), dict)
+            ):
+                raise CorpusError(
+                    f"{row}: expected string file, contract and label, a metrics object"
+                    " and a string or null type"
+                )
             rows.append(
                 _imported_row(
-                    f"{path!r} rows[{i}]",
+                    row,
                     item["file"],
                     item["contract"],
                     item["metrics"],

@@ -1,9 +1,11 @@
 """Recursive-descent parser for the supported Solidity subset.
 
 The parser is tolerant by construction: constructs outside the subset are
-brace-matched and swallowed as opaque statements, and a malformed contract
-produces one diagnostic while the rest of the file is still parsed
-(skip-to-next-top-level recovery).
+brace-matched and swallowed as opaque statements, and a malformed
+top-level item (contract, file-level struct or function, truncated header,
+statements nested deeper than :data:`MAX_NESTING`) produces one diagnostic
+while the rest of the file is still parsed (skip-to-next-top-level
+recovery).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .lexer import (
     PRAGMA_DIRECTIVE,
     PUNCTUATION,
     Token,
+    is_elementary_type,
     tokenize,
 )
 from .nodes import (
@@ -47,8 +50,22 @@ from .nodes import (
     Statement,
 )
 
+# Deepest nesting of statements inside one function body. Each level costs
+# at most three Python frames, so the limit sits well below the default
+# recursion limit wherever the parser is called from, and a contract parses
+# or fails the same way in-process and in a pool worker.
+MAX_NESTING = 200
+
 _GUARD_NAMES = frozenset({"require", "assert", "revert"})
 _CONTRACT_KINDS = frozenset({"contract", "interface", "library"})
+_TOP_LEVEL_KEYWORDS = _CONTRACT_KINDS | {"abstract", "import"}
+_FUNCTION_KINDS = {
+    "function": "function",
+    "constructor": "constructor",
+    "fallback": "fallback",
+    "receive": "receive",
+    "modifier": "modifier-def",
+}
 _STORAGE_KEYWORDS = frozenset(
     {
         "memory",
@@ -69,22 +86,42 @@ _STORAGE_KEYWORDS = frozenset(
 
 
 class _Cursor:
-    """Forward-only view over the comment-free token stream."""
+    """Forward-only view over the comment-free token stream.
+
+    ``depth`` counts the statements being parsed inside one another and
+    ``item_line`` is the first line of the top-level item being parsed.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.last: Token | None = None
+        self.depth = 0
+        self.item_line = 1
 
     def peek(self, k: int = 0) -> Token | None:
         j = self.i + k
         return self.tokens[j] if j < len(self.tokens) else None
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
+        try:
+            tok = self.tokens[self.i]
+        except IndexError:
+            raise ParseError("unexpected end of file", self.line()) from None
         self.i += 1
         self.last = tok
         return tok
+
+    def jump(self, i: int) -> None:
+        """Consume every token before index ``i`` (``i`` > the current index)."""
+        self.i = i
+        self.last = self.tokens[i - 1]
+
+    def skip_path(self) -> str:
+        """Consume the dotted identifier path at the cursor; returns its text."""
+        text, j = _path_end(self.tokens, self.i)
+        self.jump(j)
+        return text
 
     @property
     def at_end(self) -> bool:
@@ -110,28 +147,41 @@ class _Cursor:
 # token-run helpers
 
 
-def _collect_balanced(cur: _Cursor, open_text: str, close_text: str) -> list[Token]:
-    """Consume a balanced group including both delimiters."""
-    out = [cur.advance()]  # the opener
-    depth = 1
-    while depth > 0:
-        if cur.at_end:
-            raise ParseError(f"unbalanced '{open_text}'", out[0].start_line)
-        t = cur.advance()
-        if t.text == open_text:
+def _group_end(tokens: list[Token], i: int, open_text: str, close_text: str) -> int | None:
+    """Index just past the group opened by ``tokens[i]``; None if it never closes."""
+    depth = 0
+    for j in range(i, len(tokens)):
+        text = tokens[j].text
+        if text == open_text:
             depth += 1
-        elif t.text == close_text:
+        elif text == close_text:
             depth -= 1
-        out.append(t)
-    return out
+            if depth == 0:
+                return j + 1
+    return None
+
+
+def _collect_balanced(cur: _Cursor, open_text: str, close_text: str) -> list[Token]:
+    """Consume a balanced group including both delimiters.
+
+    An unclosed group consumes the rest of the file before raising, so that
+    recovery does not resume inside it.
+    """
+    start = cur.i
+    end = _group_end(cur.tokens, start, open_text, close_text)
+    if end is None:
+        cur.jump(len(cur.tokens))
+        raise ParseError(f"unbalanced '{open_text}'", cur.tokens[start].start_line)
+    cur.jump(end)
+    return cur.tokens[start:end]
 
 
 def _paren_inner(cur: _Cursor) -> list[Token]:
-    group = _collect_balanced(cur, "(", ")")
-    return group[1:-1]
+    return _collect_balanced(cur, "(", ")")[1:-1]
 
 
-def _split_top_commas(tokens: list[Token]) -> list[list[Token]]:
+def _split_top(tokens: list[Token], sep: str) -> list[list[Token]]:
+    """Split a run at ``sep`` tokens outside brackets; [] for an empty run."""
     groups: list[list[Token]] = [[]]
     depth = 0
     for t in tokens:
@@ -139,13 +189,11 @@ def _split_top_commas(tokens: list[Token]) -> list[list[Token]]:
             depth += 1
         elif t.text in ")]}":
             depth -= 1
-        if t.text == "," and depth == 0:
+        if t.text == sep and depth == 0:
             groups.append([])
         else:
             groups[-1].append(t)
-    if groups == [[]]:
-        return []
-    return groups
+    return [] if groups == [[]] else groups
 
 
 def _path_end(tokens: list[Token], i: int) -> tuple[str, int]:
@@ -178,33 +226,20 @@ def _scan_expression(tokens: list[Token]) -> tuple[list[CallSite], int, int]:
             elif t.text == "?":
                 ternaries += 1
             i += 1
-            continue
-        if t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
-            path, j = _path_end(tokens, i + 1)
-            if j < n and tokens[j].text == "(":
-                calls.append(CallSite(path, is_builtin_guard=False, is_new_expression=True))
-            i = j
-            continue
-        if t.kind == IDENTIFIER:
-            path, j = _path_end(tokens, i)
-            k = j
+        elif t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
+            path, i = _path_end(tokens, i + 1)
+            if i < n and tokens[i].text == "(":
+                calls.append(CallSite(path, is_new_expression=True))
+        elif t.kind == IDENTIFIER:
+            path, i = _path_end(tokens, i)
+            k = i
             if k < n and tokens[k].text == "{":
                 # call options: path{value: ...}(args)
-                depth = 0
-                while k < n:
-                    if tokens[k].text == "{":
-                        depth += 1
-                    elif tokens[k].text == "}":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    k += 1
-                k += 1
+                k = _group_end(tokens, k, "{", "}") or n
             if k < n and tokens[k].text == "(":
                 calls.append(CallSite(path, is_builtin_guard=path in _GUARD_NAMES))
-            i = j
-            continue
-        i += 1
+        else:
+            i += 1
     return calls, logical, ternaries
 
 
@@ -217,9 +252,7 @@ def _collect_generic_run(cur: _Cursor) -> tuple[list[Token], bool]:
     """
     out: list[Token] = []
     paren = bracket = brace = 0
-    while not cur.at_end:
-        t = cur.peek()
-        assert t is not None
+    while (t := cur.peek()) is not None:
         top = paren == 0 and bracket == 0 and brace == 0
         if top and t.text == ";":
             cur.advance()
@@ -235,8 +268,7 @@ def _collect_generic_run(cur: _Cursor) -> tuple[list[Token], bool]:
                 if not continuation:
                     # unknown block construct: swallow it whole
                     out.extend(_collect_balanced(cur, "{", "}"))
-                    if cur.check(";"):
-                        cur.advance()
+                    cur.match(";")
                     return out, True
             brace += 1
         elif t.text == "}":
@@ -258,7 +290,7 @@ def _looks_like_declaration(tokens: list[Token]) -> bool:
         return False
     t0 = tokens[0]
     if t0.kind == KEYWORD:
-        return t0.text in ("mapping", "function") or _is_type_keyword(t0.text)
+        return t0.text in ("mapping", "function") or is_elementary_type(t0.text)
     if t0.text == "(":
         # tuple declaration iff a type keyword or adjacent identifiers inside
         depth = 0
@@ -267,7 +299,7 @@ def _looks_like_declaration(tokens: list[Token]) -> bool:
                 depth += 1
             elif a.text == ")":
                 depth -= 1
-            if depth >= 1 and a.kind == KEYWORD and _is_type_keyword(a.text):
+            if depth >= 1 and a.kind == KEYWORD and is_elementary_type(a.text):
                 return True
             if depth >= 1 and a.kind == IDENTIFIER and b.kind == IDENTIFIER:
                 return True
@@ -276,25 +308,26 @@ def _looks_like_declaration(tokens: list[Token]) -> bool:
         return False
     _, j = _path_end(tokens, 0)
     while j + 1 < len(tokens) and tokens[j].text == "[":
-        depth = 0
-        while j < len(tokens):
-            if tokens[j].text == "[":
-                depth += 1
-            elif tokens[j].text == "]":
-                depth -= 1
-                if depth == 0:
-                    j += 1
-                    break
-            j += 1
+        j = _group_end(tokens, j, "[", "]") or len(tokens)
     while j < len(tokens) and tokens[j].kind == KEYWORD and tokens[j].text in _STORAGE_KEYWORDS:
         j += 1
     return j < len(tokens) and tokens[j].kind == IDENTIFIER
 
 
-def _is_type_keyword(text: str) -> bool:
-    from .lexer import is_elementary_type
+def _skip_to_brace(cur: _Cursor) -> bool:
+    """Consume a construct's header up to its '{'; False if a ';', '}' or the
+    end of file comes first."""
+    while (t := cur.peek()) is not None and t.text not in (";", "}"):
+        if t.text == "{":
+            return True
+        cur.advance()
+    return False
 
-    return is_elementary_type(text)
+
+def _take_name(cur: _Cursor) -> str:
+    """Consume an identifier at the cursor and return it; '' if there is none."""
+    t = cur.peek()
+    return cur.advance().text if t is not None and t.kind == IDENTIFIER else ""
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +345,24 @@ def _parse_block(cur: _Cursor) -> Statement:
     return Statement(BLOCK, (opener.start_line, closer.end_line), children)
 
 
+def _generic_after(cur: _Cursor, kw: Token) -> Statement:
+    """A keyword statement missing its opener, parsed as a generic statement."""
+    rest, _ = _collect_generic_run(cur)
+    return _finish_generic([kw] + rest, kw)
+
+
 def _parse_if(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
-        rest, _ = _collect_generic_run(cur)
-        return _finish_generic([kw] + rest, kw)
-    cond = _paren_inner(cur)
-    calls, logical, ternaries = _scan_expression(cond)
-    then_stmt = _parse_statement(cur)
-    children = [then_stmt]
-    has_else = False
-    if cur.check("else"):
-        cur.advance()
+        return _generic_after(cur, kw)
+    calls, logical, ternaries = _scan_expression(_paren_inner(cur))
+    children = [_parse_statement(cur)]
+    has_else = cur.match("else") is not None
+    if has_else:
         children.append(_parse_statement(cur))
-        has_else = True
-    end = children[-1].span[1]
     return Statement(
         IF,
-        (kw.start_line, end),
+        (kw.start_line, children[-1].span[1]),
         children,
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -341,24 +374,11 @@ def _parse_if(cur: _Cursor) -> Statement:
 def _parse_for(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
-        rest, _ = _collect_generic_run(cur)
-        return _finish_generic([kw] + rest, kw)
+        return _generic_after(cur, kw)
     header = _paren_inner(cur)
-    clauses: list[list[Token]] = [[]]
-    depth = 0
-    for t in header:
-        if t.text in "([{":
-            depth += 1
-        elif t.text in ")]}":
-            depth -= 1
-        if t.text == ";" and depth == 0:
-            clauses.append([])
-        else:
-            clauses[-1].append(t)
+    clauses = _split_top(header, ";")
     calls, _, ternaries = _scan_expression(header)
-    logical = 0
-    if len(clauses) > 1:
-        _, logical, _ = _scan_expression(clauses[1])
+    logical = _scan_expression(clauses[1])[1] if len(clauses) > 1 else 0
     body = _parse_statement(cur)
     return Statement(
         FOR,
@@ -373,10 +393,8 @@ def _parse_for(cur: _Cursor) -> Statement:
 def _parse_while(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
-        rest, _ = _collect_generic_run(cur)
-        return _finish_generic([kw] + rest, kw)
-    cond = _paren_inner(cur)
-    calls, logical, ternaries = _scan_expression(cond)
+        return _generic_after(cur, kw)
+    calls, logical, ternaries = _scan_expression(_paren_inner(cur))
     body = _parse_statement(cur)
     return Statement(
         WHILE,
@@ -393,17 +411,12 @@ def _parse_do_while(cur: _Cursor) -> Statement:
     body = _parse_statement(cur)
     calls: list[CallSite] = []
     logical = ternaries = 0
-    if cur.check("while"):
-        cur.advance()
-        if cur.check("("):
-            cond = _paren_inner(cur)
-            calls, logical, ternaries = _scan_expression(cond)
-    if cur.check(";"):
-        cur.advance()
-    end = cur.last.end_line if cur.last is not None else body.span[1]
+    if cur.match("while") and cur.check("("):
+        calls, logical, ternaries = _scan_expression(_paren_inner(cur))
+    cur.match(";")
     return Statement(
         DO_WHILE,
-        (kw.start_line, end),
+        (kw.start_line, cur.last.end_line),
         [body],
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -415,90 +428,59 @@ def _parse_return(cur: _Cursor) -> Statement:
     kw = cur.advance()
     expr, _ = _collect_generic_run(cur)
     calls, _, ternaries = _scan_expression(expr)
-    end = cur.last.end_line if cur.last is not None else kw.end_line
-    return Statement(RETURN, (kw.start_line, end), calls=calls, ternary_ops=ternaries)
+    return Statement(RETURN, (kw.start_line, cur.last.end_line), calls=calls, ternary_ops=ternaries)
 
 
-def _parse_emit(cur: _Cursor) -> Statement:
+def _parse_named_call(cur: _Cursor) -> Statement:
+    """`emit E(...)` or a `require`/`assert`/`revert` guard.
+
+    The guard counts as a (builtin-guard) call; an event or custom error
+    name does not, only the argument expressions carry invocations.
+    """
     kw = cur.advance()
-    calls: list[CallSite] = []
-    ternaries = 0
+    if kw.text == "emit":
+        kind, calls = EMIT, []
+    else:
+        kind, calls = REQUIRE_LIKE, [CallSite(kw.text, is_builtin_guard=True)]
     t = cur.peek()
-    if t is not None and t.kind == IDENTIFIER:
-        # skip the event name; only argument expressions carry invocations
-        cur.advance()
-        while cur.check(".") and cur.peek(1) is not None and cur.peek(1).kind == IDENTIFIER:
-            cur.advance()
-            cur.advance()
-    if cur.check("("):
-        args = _paren_inner(cur)
-        calls, _, ternaries = _scan_expression(args)
-    if cur.check(";"):
-        cur.advance()
-    end = cur.last.end_line if cur.last is not None else kw.end_line
-    return Statement(EMIT, (kw.start_line, end), calls=calls, ternary_ops=ternaries)
-
-
-def _parse_require_like(cur: _Cursor) -> Statement:
-    name_tok = cur.advance()
-    calls = [CallSite(name_tok.text, is_builtin_guard=True)]
+    if kw.text in ("emit", "revert") and t is not None and t.kind == IDENTIFIER:
+        cur.skip_path()
     ternaries = 0
-    if name_tok.text == "revert":
-        t = cur.peek()
-        if t is not None and t.kind == IDENTIFIER:
-            cur.advance()  # custom error name
-            while cur.check(".") and cur.peek(1) is not None and cur.peek(1).kind == IDENTIFIER:
-                cur.advance()
-                cur.advance()
     if cur.check("("):
-        args = _paren_inner(cur)
-        inner_calls, _, ternaries = _scan_expression(args)
+        inner_calls, _, ternaries = _scan_expression(_paren_inner(cur))
         calls.extend(inner_calls)
-    if cur.check(";"):
-        cur.advance()
-    end = cur.last.end_line if cur.last is not None else name_tok.end_line
-    return Statement(REQUIRE_LIKE, (name_tok.start_line, end), calls=calls, ternary_ops=ternaries)
+    cur.match(";")
+    return Statement(kind, (kw.start_line, cur.last.end_line), calls=calls, ternary_ops=ternaries)
 
 
 def _parse_unchecked(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("{"):
-        rest, _ = _collect_generic_run(cur)
-        return _finish_generic([kw] + rest, kw)
+        return _generic_after(cur, kw)
     block = _parse_block(cur)
     return Statement(UNCHECKED_BLOCK, (kw.start_line, block.span[1]), block.children)
 
 
 def _parse_assembly(cur: _Cursor) -> Statement:
     kw = cur.advance()
-    while not cur.at_end and not cur.check("{"):
-        t = cur.peek()
-        assert t is not None
-        if t.text in (";", "}"):
-            break
-        cur.advance()
-    if cur.check("{"):
+    if _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
-    elif cur.check(";"):
-        cur.advance()
-    end = cur.last.end_line if cur.last is not None else kw.end_line
-    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, end))
+    else:
+        cur.match(";")
+    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, cur.last.end_line))
 
 
 def _parse_try(cur: _Cursor) -> Statement:
     kw = cur.advance()
     depth = 0
     prev: Token | None = None
-    while not cur.at_end:
-        t = cur.peek()
-        assert t is not None
+    while (t := cur.peek()) is not None:
         if t.text == "{" and depth == 0:
+            _collect_balanced(cur, "{", "}")
             # a brace straight after an identifier is call options, not the body
             if prev is not None and prev.kind == IDENTIFIER:
-                _collect_balanced(cur, "{", "}")
                 prev = None
                 continue
-            _collect_balanced(cur, "{", "}")
             break
         if t.text == "(":
             depth += 1
@@ -507,20 +489,33 @@ def _parse_try(cur: _Cursor) -> Statement:
         elif t.text in (";", "}") and depth == 0:
             break
         prev = cur.advance()
-    while cur.check("catch"):
+    while cur.match("catch") and _skip_to_brace(cur):
+        _collect_balanced(cur, "{", "}")
+    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, cur.last.end_line))
+
+
+def _parse_jump(cur: _Cursor) -> Statement:
+    kw = cur.advance()
+    cur.match(";")
+    return Statement(BREAK if kw.text == "break" else CONTINUE, (kw.start_line, kw.end_line))
+
+
+def _parse_simple(cur: _Cursor) -> Statement:
+    """A pragma, an expression or declaration, an empty statement, or an
+    unknown block construct swallowed as opaque."""
+    first = cur.peek()
+    if first.kind == PRAGMA_DIRECTIVE:
         cur.advance()
-        while not cur.at_end and not cur.check("{"):
-            t = cur.peek()
-            assert t is not None
-            if t.text in (";", "}"):
-                break
-            cur.advance()
-        if cur.check("{"):
-            _collect_balanced(cur, "{", "}")
-        else:
-            break
-    end = cur.last.end_line if cur.last is not None else kw.end_line
-    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, end))
+        return Statement(EXPRESSION, (first.start_line, first.end_line))
+    tokens, opaque = _collect_generic_run(cur)
+    if opaque:
+        return Statement(ASSEMBLY_OPAQUE, (first.start_line, cur.last.end_line))
+    if not tokens:
+        # bare ';', or a stray '}' we must not consume
+        if cur.last.text == ";":
+            return Statement(EXPRESSION, (first.start_line, cur.last.end_line))
+        return Statement(EXPRESSION, (first.start_line, first.start_line))
+    return _finish_generic(tokens, first)
 
 
 def _finish_generic(tokens: list[Token], first: Token) -> Statement:
@@ -530,59 +525,38 @@ def _finish_generic(tokens: list[Token], first: Token) -> Statement:
     return Statement(kind, (first.start_line, end), calls=calls, ternary_ops=ternaries)
 
 
+# Statements introduced by a keyword or a brace; each text is always one token kind.
+_STATEMENT_PARSERS = {
+    "{": _parse_block,
+    "if": _parse_if,
+    "for": _parse_for,
+    "while": _parse_while,
+    "do": _parse_do_while,
+    "return": _parse_return,
+    "emit": _parse_named_call,
+    "unchecked": _parse_unchecked,
+    "assembly": _parse_assembly,
+    "try": _parse_try,
+    "break": _parse_jump,
+    "continue": _parse_jump,
+}
+
+
 def _parse_statement(cur: _Cursor) -> Statement:
     t = cur.peek()
     if t is None:
         raise ParseError("unexpected end of file in statement", cur.line())
-    if t.text == "{":
-        return _parse_block(cur)
-    if t.kind == KEYWORD:
-        if t.text == "if":
-            return _parse_if(cur)
-        if t.text == "for":
-            return _parse_for(cur)
-        if t.text == "while":
-            return _parse_while(cur)
-        if t.text == "do":
-            return _parse_do_while(cur)
-        if t.text == "return":
-            return _parse_return(cur)
-        if t.text == "emit":
-            return _parse_emit(cur)
-        if t.text == "unchecked":
-            return _parse_unchecked(cur)
-        if t.text == "assembly":
-            return _parse_assembly(cur)
-        if t.text == "try":
-            return _parse_try(cur)
-        if t.text == "break":
-            kw = cur.advance()
-            if cur.check(";"):
-                cur.advance()
-            return Statement(BREAK, (kw.start_line, kw.end_line))
-        if t.text == "continue":
-            kw = cur.advance()
-            if cur.check(";"):
-                cur.advance()
-            return Statement(CONTINUE, (kw.start_line, kw.end_line))
-    if t.kind == IDENTIFIER and t.text in _GUARD_NAMES:
+    if cur.depth >= MAX_NESTING:
+        raise ParseError("nesting too deep", cur.item_line)
+    parse = _STATEMENT_PARSERS.get(t.text)
+    if parse is None and t.kind == IDENTIFIER and t.text in _GUARD_NAMES:
         nxt = cur.peek(1)
         if nxt is not None and (nxt.text == "(" or t.text == "revert"):
-            return _parse_require_like(cur)
-    if t.kind == PRAGMA_DIRECTIVE:
-        kw = cur.advance()
-        return Statement(EXPRESSION, (kw.start_line, kw.end_line))
-    first = t
-    tokens, opaque = _collect_generic_run(cur)
-    if opaque:
-        end = cur.last.end_line if cur.last is not None else first.end_line
-        return Statement(ASSEMBLY_OPAQUE, (first.start_line, end))
-    if not tokens:
-        # bare ';', or a stray '}' we must not consume
-        if cur.last is not None and cur.last.text == ";":
-            return Statement(EXPRESSION, (first.start_line, cur.last.end_line))
-        return Statement(EXPRESSION, (first.start_line, first.start_line))
-    return _finish_generic(tokens, first)
+            parse = _parse_named_call
+    cur.depth += 1
+    stmt = (parse or _parse_simple)(cur)
+    cur.depth -= 1
+    return stmt
 
 
 # ---------------------------------------------------------------------------
@@ -635,31 +609,18 @@ def _split_typed_item(tokens: list[Token]) -> tuple[str, str]:
 
 
 def _append_group(tokens: list[Token], i: int, open_text: str, close_text: str, out: list[str]) -> int:
+    """Append the texts of the group opened at ``tokens[i]`` (to the end of
+    the run if it never closes); returns the index past it."""
     if i >= len(tokens) or tokens[i].text != open_text:
         return i
-    depth = 0
-    while i < len(tokens):
-        t = tokens[i]
-        if t.text == open_text:
-            depth += 1
-        elif t.text == close_text:
-            depth -= 1
-        out.append(t.text)
-        i += 1
-        if depth == 0:
-            break
-    return i
+    end = _group_end(tokens, i, open_text, close_text) or len(tokens)
+    out.extend(t.text for t in tokens[i:end])
+    return end
 
 
-def _parse_params(cur: _Cursor) -> list[Param]:
-    inner = _paren_inner(cur)
-    params = []
-    for group in _split_top_commas(inner):
-        if not group:
-            continue
-        type_text, name = _split_typed_item(group)
-        params.append(Param(name, type_text))
-    return params
+def _typed_items(cur: _Cursor) -> list[tuple[str, str]]:
+    """(type text, name) of each item in a parenthesized parameter list."""
+    return [_split_typed_item(group) for group in _split_top(_paren_inner(cur), ",") if group]
 
 
 def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
@@ -667,16 +628,14 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
     name: str | None = None
     if kind in ("function", "modifier-def"):
         t = cur.peek()
-        if t is not None and t.kind in (IDENTIFIER, KEYWORD) and not t.text == "(":
+        if t is not None and t.kind in (IDENTIFIER, KEYWORD):
             name = cur.advance().text
     params: list[Param] = []
     if cur.check("("):
-        params = _parse_params(cur)
+        params = [Param(pname, ptype) for ptype, pname in _typed_items(cur)]
     return_types: list[str] = []
     body: Statement | None = None
-    while not cur.at_end:
-        t = cur.peek()
-        assert t is not None
+    while (t := cur.peek()) is not None:
         if t.text == "{":
             body = _parse_block(cur)
             break
@@ -688,28 +647,18 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
         if t.kind == KEYWORD and t.text == "returns":
             cur.advance()
             if cur.check("("):
-                inner = _paren_inner(cur)
-                for group in _split_top_commas(inner):
-                    if group:
-                        type_text, _ = _split_typed_item(group)
-                        return_types.append(type_text)
-            continue
-        if t.kind == IDENTIFIER:
-            cur.advance()  # modifier invocation (or base constructor call)
-            while cur.check(".") and cur.peek(1) is not None and cur.peek(1).kind == IDENTIFIER:
-                cur.advance()
-                cur.advance()
+                return_types.extend(type_text for type_text, _ in _typed_items(cur))
+        elif t.kind == IDENTIFIER:
+            cur.skip_path()  # modifier invocation (or base constructor call)
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
-            continue
-        cur.advance()
-    end = cur.last.end_line if cur.last is not None else intro.end_line
-    return FunctionDef(name, kind, params, body, (intro.start_line, end), return_types)
+        else:
+            cur.advance()
+    return FunctionDef(name, kind, params, body, (intro.start_line, cur.last.end_line), return_types)
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
     first = cur.peek()
-    assert first is not None
     tokens, opaque = _collect_generic_run(cur)
     if opaque or not tokens:
         return None
@@ -729,8 +678,16 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
     if not name:
         return None
     new_refs = [c.callee_text for c in _scan_expression(rhs)[0] if c.is_new_expression]
-    end = cur.last.end_line if cur.last is not None else first.end_line
-    return StateVarDecl(name, type_text, (first.start_line, end), new_refs)
+    return StateVarDecl(name, type_text, (first.start_line, cur.last.end_line), new_refs)
+
+
+def _parse_type_decl(cur: _Cursor) -> str:
+    """Consume `struct|enum Name { ... }`; returns the name ('' if missing)."""
+    cur.advance()
+    name = _take_name(cur)
+    if cur.check("{"):
+        _collect_balanced(cur, "{", "}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +696,7 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
 
 def _parse_contract(cur: _Cursor) -> ContractDef:
     start = cur.peek()
-    assert start is not None
-    if cur.check("abstract"):
-        cur.advance()
+    cur.match("abstract")
     kind_tok = cur.advance()
     if kind_tok.text not in _CONTRACT_KINDS:
         raise ParseError(f"expected contract keyword, found '{kind_tok.text}'", kind_tok.start_line)
@@ -750,22 +705,13 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
         raise ParseError(f"missing name in {kind_tok.text} header", cur.line())
     cur.advance()
     base_names: list[str] = []
-    if cur.check("is"):
-        cur.advance()
-        while True:
-            t = cur.peek()
-            if t is None or t.kind != IDENTIFIER:
-                break
-            idx_text, j = _path_end(cur.tokens, cur.i)
-            cur.i = j
-            cur.last = cur.tokens[j - 1]
-            base_names.append(idx_text)
+    if cur.match("is"):
+        while (t := cur.peek()) is not None and t.kind == IDENTIFIER:
+            base_names.append(cur.skip_path())
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
-            if cur.check(","):
-                cur.advance()
-                continue
-            break
+            if not cur.match(","):
+                break
     if not cur.check("{"):
         raise ParseError(f"expected '{{' in {kind_tok.text} '{name_tok.text}' header", cur.line())
     opener = cur.advance()
@@ -818,130 +764,78 @@ def _function_member_is_state_var(cur: _Cursor) -> bool:
 
 def _parse_member(cur: _Cursor, contract: ContractDef) -> None:
     t = cur.peek()
-    assert t is not None
-    if t.kind == KEYWORD:
-        if t.text == "function":
-            if _function_member_is_state_var(cur):
-                var = _parse_state_var(cur)
-                if var is not None:
-                    contract.state_vars.append(var)
-                return
-            contract.functions.append(_parse_function_like(cur, "function"))
-            return
-        if t.text == "constructor":
-            contract.functions.append(_parse_function_like(cur, "constructor"))
-            return
-        if t.text == "fallback":
-            contract.functions.append(_parse_function_like(cur, "fallback"))
-            return
-        if t.text == "receive":
-            contract.functions.append(_parse_function_like(cur, "receive"))
-            return
-        if t.text == "modifier":
-            contract.functions.append(_parse_function_like(cur, "modifier-def"))
-            return
-        if t.text == "event":
-            cur.advance()
-            name = ""
-            nt = cur.peek()
-            if nt is not None and nt.kind == IDENTIFIER:
-                name = cur.advance().text
-            if cur.check("("):
-                _collect_balanced(cur, "(", ")")
-            while not cur.at_end and not cur.check(";") and not cur.check("}"):
-                cur.advance()
-            if cur.check(";"):
-                cur.advance()
-            contract.events.append(name)
-            return
-        if t.text in ("struct", "enum"):
-            kw = cur.advance()
-            name = ""
-            nt = cur.peek()
-            if nt is not None and nt.kind == IDENTIFIER:
-                name = cur.advance().text
-            if cur.check("{"):
-                _collect_balanced(cur, "{", "}")
-            (contract.structs if kw.text == "struct" else contract.enums).append(name)
-            return
-        if t.text in ("using", "type"):
-            _collect_generic_run(cur)
-            return
-    if t.kind == IDENTIFIER and t.text == "error":
-        n1 = cur.peek(1)
-        n2 = cur.peek(2)
-        if n1 is not None and n1.kind == IDENTIFIER and n2 is not None and n2.text == "(":
-            _collect_generic_run(cur)
-            return
-    if t.kind == PRAGMA_DIRECTIVE or t.text == ";":
+    kind = _FUNCTION_KINDS.get(t.text)
+    if kind is not None and not (kind == "function" and _function_member_is_state_var(cur)):
+        contract.functions.append(_parse_function_like(cur, kind))
+    elif t.text == "event":
         cur.advance()
-        return
-    var = _parse_state_var(cur)
-    if var is not None:
+        name = _take_name(cur)
+        if cur.check("("):
+            _collect_balanced(cur, "(", ")")
+        while not cur.at_end and not cur.check(";") and not cur.check("}"):
+            cur.advance()
+        cur.match(";")
+        contract.events.append(name)
+    elif t.text in ("struct", "enum"):
+        (contract.structs if t.text == "struct" else contract.enums).append(_parse_type_decl(cur))
+    elif t.text in ("using", "type") or (
+        t.text == "error"
+        and (n1 := cur.peek(1)) is not None
+        and n1.kind == IDENTIFIER
+        and cur.check("(", 2)
+    ):
+        _collect_generic_run(cur)
+    elif t.kind == PRAGMA_DIRECTIVE or t.text == ";":
+        cur.advance()
+    elif (var := _parse_state_var(cur)) is not None:
         contract.state_vars.append(var)
+
+
+def _starts_top_level(t: Token) -> bool:
+    """A pragma, an import or a contract header: where recovery resumes."""
+    return t.kind == PRAGMA_DIRECTIVE or (t.kind == KEYWORD and t.text in _TOP_LEVEL_KEYWORDS)
 
 
 def _recover_to_top_level(cur: _Cursor) -> None:
     depth = 0
-    while not cur.at_end:
-        t = cur.peek()
-        assert t is not None
+    while (t := cur.peek()) is not None:
         if t.text == "{":
             depth += 1
         elif t.text == "}":
             depth = max(0, depth - 1)
-        elif depth == 0 and (
-            (t.kind == KEYWORD and (t.text in _CONTRACT_KINDS or t.text in ("abstract", "import")))
-            or t.kind == PRAGMA_DIRECTIVE
-        ):
+        elif depth == 0 and _starts_top_level(t):
             return
         cur.advance()
 
 
 def _skip_toplevel_item(cur: _Cursor) -> None:
-    t = cur.advance()
+    t = cur.peek()
     if t.text == "{":
-        depth = 1
-        while not cur.at_end and depth > 0:
-            nt = cur.advance()
-            if nt.text == "{":
-                depth += 1
-            elif nt.text == "}":
-                depth -= 1
+        cur.jump(_group_end(cur.tokens, cur.i, "{", "}") or len(cur.tokens))
         return
-    if t.kind == KEYWORD and t.text in ("struct", "enum"):
-        nt = cur.peek()
-        if nt is not None and nt.kind == IDENTIFIER:
-            cur.advance()
-        if cur.check("{"):
-            _collect_balanced(cur, "{", "}")
+    if t.text in ("struct", "enum"):
+        _parse_type_decl(cur)
         return
-    if t.kind == KEYWORD and t.text == "function":
+    cur.advance()
+    if t.text == "function":
         # file-level function: skip header and body
-        while not cur.at_end:
-            nt = cur.peek()
-            assert nt is not None
+        while (nt := cur.peek()) is not None:
             if nt.text == "{":
                 _collect_balanced(cur, "{", "}")
                 return
             if nt.text == ";":
                 cur.advance()
                 return
-            if nt.kind == KEYWORD and nt.text in _CONTRACT_KINDS:
+            if nt.text in _CONTRACT_KINDS:
                 return
             cur.advance()
         return
     depth = 0
-    while not cur.at_end:
-        nt = cur.peek()
-        assert nt is not None
+    while (nt := cur.peek()) is not None:
         if depth == 0 and nt.text == ";":
             cur.advance()
             return
-        if depth == 0 and (
-            (nt.kind == KEYWORD and (nt.text in _CONTRACT_KINDS or nt.text in ("abstract", "import")))
-            or nt.kind == PRAGMA_DIRECTIVE
-        ):
+        if depth == 0 and _starts_top_level(nt):
             return
         if nt.text in "([{":
             depth += 1
@@ -954,10 +848,11 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
     """Parse a token stream into a source unit.
 
     Every well-formed top-level contract/interface/library becomes one
-    :class:`ContractDef`; a malformed one, or one nested too deep for the
-    recursive-descent parser, becomes a diagnostic and parsing resumes at
-    the next top-level construct. Duplicate contract names within
-    a file keep the first definition and diagnose the rest.
+    :class:`ContractDef`. A malformed top-level item, including a contract
+    whose statements nest deeper than :data:`MAX_NESTING`, becomes one
+    diagnostic and parsing resumes at the next top-level construct; no
+    input raises. Duplicate contract names within a file keep the first
+    definition and diagnose the rest.
     """
     code = [t for t in tokens if not t.is_comment]
     cur = _Cursor(code)
@@ -966,55 +861,46 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
     contracts: list[ContractDef] = []
     diagnostics: list[Diagnostic] = []
     seen_names: set[str] = set()
-    while not cur.at_end:
-        t = cur.peek()
-        assert t is not None
-        if t.kind == PRAGMA_DIRECTIVE:
-            if pragma is None:
-                pragma = t.text[len("pragma") :].strip().rstrip(";").strip()
-            cur.advance()
-            continue
-        if t.kind == KEYWORD and t.text == "import":
-            cur.advance()
-            parts = []
-            while not cur.at_end and not cur.check(";"):
-                nt = cur.peek()
-                assert nt is not None
-                if nt.kind == KEYWORD and nt.text in _CONTRACT_KINDS:
-                    break
-                parts.append(cur.advance().text)
-            if cur.check(";"):
+    while (t := cur.peek()) is not None:
+        cur.item_line = t.start_line
+        try:
+            if t.kind == PRAGMA_DIRECTIVE:
+                if pragma is None:
+                    pragma = t.text[len("pragma") :].strip().rstrip(";").strip()
                 cur.advance()
-            imports.append(" ".join(parts))
-            continue
-        if t.kind == KEYWORD and (t.text in _CONTRACT_KINDS or t.text == "abstract"):
-            try:
+            elif t.text == "import":
+                cur.advance()
+                parts = []
+                while (nt := cur.peek()) is not None and nt.text != ";":
+                    if nt.text in _CONTRACT_KINDS:
+                        break
+                    parts.append(cur.advance().text)
+                cur.match(";")
+                imports.append(" ".join(parts))
+            elif t.text in _CONTRACT_KINDS or t.text == "abstract":
                 contract = _parse_contract(cur)
-            except (ParseError, RecursionError) as exc:
-                if isinstance(exc, RecursionError):
-                    exc = ParseError("nesting too deep", t.start_line)
-                diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
-                _recover_to_top_level(cur)
-                continue
-            if contract.name in seen_names:
-                diagnostics.append(
-                    Diagnostic(
-                        path,
-                        contract.span[0],
-                        f"duplicate contract name '{contract.name}'",
+                if contract.name in seen_names:
+                    diagnostics.append(
+                        Diagnostic(
+                            path,
+                            contract.span[0],
+                            f"duplicate contract name '{contract.name}'",
+                        )
                     )
-                )
+                else:
+                    seen_names.add(contract.name)
+                    contracts.append(contract)
             else:
-                seen_names.add(contract.name)
-                contracts.append(contract)
-            continue
-        _skip_toplevel_item(cur)
-    total_lines = max((t.end_line for t in tokens), default=0)
+                _skip_toplevel_item(cur)
+        except ParseError as exc:
+            diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
+            cur.depth = 0
+            _recover_to_top_level(cur)
     return SourceUnit(
         path=path,
         pragma=pragma,
         contracts=contracts,
-        total_lines=total_lines,
+        total_lines=tokens[-1].end_line if tokens else 0,
         imports=imports,
         diagnostics=diagnostics,
     )
@@ -1023,6 +909,8 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
 def parse_source(source: str, path: str = "<string>") -> SourceUnit:
     """Convenience wrapper: tokenize then parse."""
     return parse_file(tokenize(source), path)
+
+
 
 
 @dataclass(frozen=True)

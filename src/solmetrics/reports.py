@@ -11,46 +11,18 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from typing import Any
 
 from .metrics import DISPLAY_NAMES
-from .pipeline import AnalysisReport, Rq1Section, Rq2Section, Rq3Section, Rq4Section
-from .stats import ConfidenceInterval, CorrelationMatrix, SpearmanResult, TTestResult
+from .pipeline import ANALYSES, AnalysisReport, Rq1Section, Rq2Section, Rq3Section, Rq4Section
+from .stats import CorrelationMatrix
 
 
 def _fmt(x: float | None) -> str:
     if x is None:
         return ""
     return f"{x:.9g}"
-
-
-def _spearman_dict(r: SpearmanResult | None) -> dict[str, Any] | None:
-    if r is None:
-        return None
-    return {
-        "rho": r.rho,
-        "p_value": r.p_value,
-        "n": r.n,
-        "strength": r.strength,
-        "significant": r.significant,
-    }
-
-
-def _ttest_dict(r: TTestResult | None) -> dict[str, Any] | None:
-    if r is None:
-        return None
-    return {
-        "t_statistic": r.t_statistic,
-        "degrees_of_freedom": r.degrees_of_freedom,
-        "p_value": r.p_value,
-        "mean_difference": r.mean_difference,
-        "kind": r.kind,
-        "zero_variance": r.zero_variance,
-    }
-
-
-def _ci_dict(r: ConfidenceInterval) -> dict[str, Any]:
-    return {"mean": r.mean, "lower": r.lower, "upper": r.upper, "level": r.level, "n": r.n}
 
 
 def _matrix_dict(m: CorrelationMatrix) -> dict[str, Any]:
@@ -66,74 +38,7 @@ def rq1_dict(section: Rq1Section) -> dict[str, Any]:
         "threshold": section.threshold,
         "vulnerable_matrix": _matrix_dict(section.vulnerable),
         "neutral_matrix": _matrix_dict(section.neutral),
-        "redundant_pairs": [
-            {
-                "metric_a": p.metric_a,
-                "metric_b": p.metric_b,
-                "findings": [
-                    {
-                        "group": f.group,
-                        "rho": f.rho,
-                        "p_value": f.p_value,
-                        "reliable": f.reliable,
-                    }
-                    for f in p.findings
-                ],
-            }
-            for p in section.redundant_pairs
-        ],
-    }
-
-
-def rq2_dict(section: Rq2Section) -> dict[str, Any]:
-    return {
-        "rows": [
-            {"metric": row.metric, "result": _spearman_dict(row.result)}
-            for row in section.rows
-        ]
-    }
-
-
-def rq3_dict(section: Rq3Section) -> dict[str, Any]:
-    return {
-        "seed": section.seed,
-        "sample_size": section.sample_size,
-        "rows": [
-            {
-                "metric": row.metric,
-                "paired": _ttest_dict(row.paired),
-                "welch": _ttest_dict(row.welch),
-                "discriminative": row.discriminative,
-                "degenerate": row.degenerate,
-            }
-            for row in section.rows
-        ],
-    }
-
-
-def rq4_dict(section: Rq4Section) -> dict[str, Any]:
-    return {
-        "level": section.level,
-        "rows": [
-            {
-                "metric": row.metric,
-                "vulnerable": _ci_dict(row.vulnerable),
-                "neutral": _ci_dict(row.neutral),
-                "direction": row.direction,
-            }
-            for row in section.rows
-        ],
-    }
-
-
-def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
-    return {
-        "config": report.config,
-        "counts": {"vulnerable": report.counts[0], "neutral": report.counts[1]},
-        "rq1": rq1_dict(report.rq1),
-        "rq2": rq2_dict(report.rq2),
-        "rq3": rq3_dict(report.rq3),
-        "rq4": rq4_dict(report.rq4),
+        "redundant_pairs": [asdict(p) for p in section.redundant_pairs],
     }
 
 
@@ -259,12 +164,23 @@ _TITLES = {
 }
 
 
+# rq2-rq4 serialize field by field; rq1's matrices have their own shape
 _SECTION_IO = {
     "rq1": (rq1_dict, _rq1_table),
-    "rq2": (rq2_dict, _rq2_table),
-    "rq3": (rq3_dict, _rq3_table),
-    "rq4": (rq4_dict, _rq4_table),
+    "rq2": (asdict, _rq2_table),
+    "rq3": (asdict, _rq3_table),
+    "rq4": (asdict, _rq4_table),
 }
+
+
+def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "config": report.config,
+        "counts": {"vulnerable": report.counts[0], "neutral": report.counts[1]},
+    }
+    for key in ANALYSES:
+        payload[key] = _SECTION_IO[key][0](getattr(report, key))
+    return payload
 
 
 def write_section(
@@ -313,13 +229,8 @@ def write_report(report: AnalysisReport, outdir: str, formats: tuple[str, ...]) 
     written: list[str] = []
     _write_json(os.path.join(outdir, "report.json"), report_to_dict(report))
     written.append("report.json")
-    for key, section in (
-        ("rq1", report.rq1),
-        ("rq2", report.rq2),
-        ("rq3", report.rq3),
-        ("rq4", report.rq4),
-    ):
-        written.extend(write_section(key, section, outdir, formats))
+    for key in ANALYSES:
+        written.extend(write_section(key, getattr(report, key), outdir, formats))
     return hash_outputs(outdir, written)
 
 

@@ -20,6 +20,31 @@ def metrics_for(source: str, path: str = "test.sol") -> dict[str, ContractMetric
     return out
 
 
+# Every recursive statement shape: (opener, closer, statement levels per repetition).
+NESTING_SHAPES = {
+    "block": ("{", "}", 1),
+    "if-block": ("if (x) {", "}", 2),
+    "if": ("if (x) ", "", 1),
+    "else-if": ("if (x) y; else ", "", 1),
+    "for": ("for (;;) {", "}", 2),
+    "while": ("while (x) {", "}", 2),
+    "do-while": ("do {", "} while (x);", 2),
+    "unchecked": ("unchecked {", "}", 1),
+}
+
+
+def nested_source(shape: str, depth: int) -> str:
+    """Contracts A, D and B; D starts on line 2, and its function nests
+    statements exactly ``depth`` deep in the given shape."""
+    opener, closer, per = NESTING_SHAPES[shape]
+    n, pad = divmod(depth - 1, per)
+    body = opener * n + "{" * pad + "x = 1;" + "}" * pad + closer * n
+    return (
+        f"contract A {{}}\ncontract D {{\n  function f(uint x) public {{ {body} }}\n}}\n"
+        "contract B {}\n"
+    )
+
+
 @pytest.fixture
 def make_corpus(tmp_path):
     """Write .sol files plus a manifest; returns (manifest_path, root)."""

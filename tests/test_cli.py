@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+from conftest import NESTING_SHAPES, nested_source
 from solmetrics.cli import main
+from solmetrics.parser import MAX_NESTING
 
 GOOD = "contract A {\n  uint x;\n  function f() public { x = 1; }\n}"
 VULN = "contract V {\n  uint y;\n  function g(uint a) public { if (a > 0) { y = a; } }\n}"
@@ -107,6 +109,46 @@ def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, jobs):
     assert code == 2
     assert "nesting too deep" in err
     assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["B", "A"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "tail", ["abstract", "struct S {", "function g() pure {"], ids=["abstract", "struct", "function"]
+)
+def test_metrics_malformed_file_level_item_exit_2(tmp_path, capsys, jobs, tail):
+    bad = tmp_path / "bad.sol"
+    bad.write_text("contract Keep {}\n" + tail, encoding="utf-8")
+    ok = tmp_path / "ok.sol"
+    ok.write_text(GOOD, encoding="utf-8")
+    code, out, err = run_cli(capsys, "metrics", str(bad), str(ok), "--jobs", jobs)
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line.split(": ", 1)[0] for line in err.splitlines()] == [f"{bad}:2"]
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["Keep", "A"]
+
+
+def test_metrics_nesting_limit_jobs_invariant(tmp_path, capsys):
+    paths = []
+    for shape in sorted(NESTING_SHAPES):
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            path = tmp_path / f"{shape}-{depth}.sol"
+            path.write_text(nested_source(shape, depth), encoding="utf-8")
+            paths.append(str(path))
+    serial = run_cli(capsys, "metrics", *paths, "--jobs", "1")
+    parallel = run_cli(capsys, "metrics", *paths, "--jobs", "2")
+    assert serial == parallel
+    code, out, err = serial
+    assert code == 2
+    scored = {
+        (os.path.basename(row[0]), row[1]) for row in list(csv.reader(io.StringIO(out)))[1:]
+    }
+    for shape in NESTING_SHAPES:
+        assert (f"{shape}-{MAX_NESTING}.sol", "D") in scored
+        assert (f"{shape}-{MAX_NESTING + 1}.sol", "D") not in scored
+    assert err.splitlines() == [
+        f"{tmp_path / shape}-{MAX_NESTING + 1}.sol:2: line 2: nesting too deep"
+        for shape in sorted(NESTING_SHAPES)
+    ]
 
 
 CROSS_FILE = {

@@ -327,3 +327,36 @@ def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, messag
         json.dump(payload, fh)
     with pytest.raises(CorpusError, match=message):
         import_metrics(path, "json")
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({}, "expected a JSON object with a 'rows' list"),
+        ([], "expected a JSON object with a 'rows' list"),
+        ({"rows": 5}, "expected a JSON object with a 'rows' list"),
+        ({"rows": [5]}, r"rows\[0\]: expected string file"),
+        (
+            {"rows": [{"contract": "A", "label": "neutral", "metrics": {}, "type": None}]},
+            r"rows\[0\]: expected string file",
+        ),
+    ],
+    ids=["empty-object", "list", "rows-not-a-list", "row-not-an-object", "row-without-file"],
+)
+def test_import_json_rejects_bad_document(tmp_path, payload, message):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorpusError, match=message):
+        import_metrics(str(path), "json")
+
+
+@pytest.mark.parametrize(
+    "fmt,text,message",
+    [("json", "not json", "is not valid JSON"), ("csv", "", "unexpected export header")],
+    ids=["invalid-json", "empty-csv"],
+)
+def test_import_rejects_unparsable_file(tmp_path, fmt, text, message):
+    path = tmp_path / f"metrics.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=message):
+        import_metrics(str(path), fmt)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import NESTING_SHAPES, nested_source
+from golden_corpus import GOLDEN
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import (
     ASSEMBLY_OPAQUE,
@@ -15,7 +18,7 @@ from solmetrics.nodes import (
     UNCHECKED_BLOCK,
     VARIABLE_DECLARATION,
 )
-from solmetrics.parser import parse_file, parse_source
+from solmetrics.parser import MAX_NESTING, parse_file, parse_source
 
 
 def statements_of(source: str, fn_index: int = 0):
@@ -91,6 +94,63 @@ def test_nesting_too_deep_diagnosed_per_contract(opener):
     unit = parse_source(source, "deep.sol")
     assert [c.name for c in unit.contracts] == ["A", "B"]
     assert [str(d) for d in unit.diagnostics] == ["deep.sol:2: line 2: nesting too deep"]
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_nesting_limit_per_shape(shape):
+    at_limit = parse_source(nested_source(shape, MAX_NESTING), "deep.sol")
+    assert [c.name for c in at_limit.contracts] == ["A", "D", "B"]
+    assert at_limit.diagnostics == []
+    past = parse_source(nested_source(shape, MAX_NESTING + 1), "deep.sol")
+    assert [c.name for c in past.contracts] == ["A", "B"]
+    assert [str(d) for d in past.diagnostics] == ["deep.sol:2: line 2: nesting too deep"]
+
+
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        ("abstract", "line 2: unexpected end of file"),
+        ("struct S {\n  uint a;", "line 2: unbalanced '{'"),
+        ("function g() pure {\n  return;", "line 2: unbalanced '{'"),
+    ],
+    ids=["bare-abstract", "unterminated-struct", "unterminated-function"],
+)
+def test_malformed_file_level_item_is_a_diagnostic(tail, message):
+    unit = parse_source("contract A { uint x; }\n" + tail, "bad.sol")
+    assert [c.name for c in unit.contracts] == ["A"]
+    assert [str(d) for d in unit.diagnostics] == [f"bad.sol:2: {message}"]
+
+
+_GOLDEN_TOKENS = [tokenize(source) for source, _ in GOLDEN.values()]
+# golden tokens plus every word and bracket that starts or ends a construct
+_STRUCTURE = tokenize(
+    "abstract contract interface library is struct enum event function modifier import"
+    " if else for while do unchecked assembly try catch return emit revert require"
+    " break continue { } ( ) [ ] ; , . ="
+)
+_GOLDEN_VOCABULARY = list({t.text: t for tokens in _GOLDEN_TOKENS for t in tokens}.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_STRUCTURE) | st.sampled_from(_GOLDEN_VOCABULARY), max_size=40))
+def test_parse_file_never_raises_on_token_soup(tokens):
+    parse_file(tokens, "soup.sol")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_GOLDEN_TOKENS),
+    st.integers(0, 400),
+    st.integers(0, 40),
+    st.sampled_from(["delete", "duplicate", "truncate"]),
+)
+def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
+    start = min(start, len(tokens))
+    piece = tokens[start : start + length]
+    rest = tokens[start + length :]
+    head = tokens[:start]
+    mutated = {"delete": head + rest, "duplicate": head + piece + piece + rest, "truncate": head}[op]
+    parse_file(mutated, "mutant.sol")
 
 
 def test_pragma_and_imports_recorded():
