@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from bisect import bisect_left, bisect_right
@@ -87,22 +88,28 @@ def _check_label(row: str, label: str, vuln_type: str | None) -> None:
             raise CorpusError(f"{row}: unknown vulnerability type {vuln_type!r}")
 
 
+def _read_text(path: str, what: str) -> tuple[str, str]:
+    """The UTF-8 text of a file and the sha256 of its bytes, read once;
+    an unreadable or undecodable file raises :class:`CorpusError`."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{what} {path!r} is not valid UTF-8") from exc
+    return text, hashlib.sha256(raw).hexdigest()
+
+
 def load_manifest(path: str) -> CorpusManifest:
     """Load and validate a corpus manifest.
 
     Rejects unknown labels, misplaced or unknown vulnerability type tags,
     and duplicate (file, contract) keys, naming the offending row.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CorpusError(f"cannot read manifest {path!r}: {exc}") from exc
-    content_hash = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"manifest {path!r} is not valid UTF-8") from exc
+    text, content_hash = _read_text(path, "manifest")
     entries: list[ManifestEntry] = []
     seen: set[tuple[str, str]] = set()
     lines = text.splitlines()
@@ -209,8 +216,10 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
     """
     tasks = [(root, f) for f in files]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_parse_sol_file, tasks, chunksize=16))
+        # at least two chunks per worker, so a few large files spread out
+        chunksize = max(1, min(16, len(tasks) // (2 * jobs)))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            parsed = list(pool.map(_parse_sol_file, tasks, chunksize=chunksize))
     else:
         parsed = [_parse_sol_file(t) for t in tasks]
     graph = build_inheritance_graph(parsed)
@@ -352,29 +361,30 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
     or a bad label raises :class:`CorpusError` naming the row, and a JSON
     document without a ``rows`` list raises one naming the file.
     """
+    if fmt not in ("csv", "json"):
+        raise CorpusError(f"unknown import format {fmt!r}")
+    text, digest = _read_text(path, "metric table")
     rows: list[ContractRow] = []
     if fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != EXPORT_HEADER:
-                raise CorpusError(f"unexpected export header in {path!r}")
-            for lineno, record in enumerate(reader, start=2):
-                row = f"{path!r} row {lineno}"
-                if len(record) != len(EXPORT_HEADER):
-                    raise CorpusError(
-                        f"{row}: expected {len(EXPORT_HEADER)} fields, got {len(record)}"
-                    )
-                values = dict(zip(METRIC_NAMES, record[2:-2]))
-                rows.append(
-                    _imported_row(row, record[0], record[1], values, record[-2], record[-1] or None)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = tuple(next(reader, ()))
+        if header != EXPORT_HEADER:
+            raise CorpusError(f"unexpected export header in {path!r}")
+        for lineno, record in enumerate(reader, start=2):
+            row = f"{path!r} row {lineno}"
+            if len(record) != len(EXPORT_HEADER):
+                raise CorpusError(
+                    f"{row}: expected {len(EXPORT_HEADER)} fields, got {len(record)}"
                 )
-    elif fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path!r} is not valid JSON: {exc}") from exc
+            values = dict(zip(METRIC_NAMES, record[2:-2]))
+            rows.append(
+                _imported_row(row, record[0], record[1], values, record[-2], record[-1] or None)
+            )
+    else:
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path!r} is not valid JSON: {exc}") from exc
         items = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(items, list):
             raise CorpusError(f"{path!r}: expected a JSON object with a 'rows' list")
@@ -400,10 +410,6 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
                     item.get("type"),
                 )
             )
-    else:
-        raise CorpusError(f"unknown import format {fmt!r}")
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
     n_vulnerable = sum(1 for r in rows if r.label == LABEL_VULNERABLE)
     return LabeledContractSet(
         rows=rows,

@@ -10,7 +10,6 @@ single token up to its terminating semicolon.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import LexError
@@ -47,30 +46,54 @@ def is_elementary_type(text: str) -> bool:
 
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
-_OPERATORS = [
+# Any character no alternative below claims is a one-character punctuation
+# token, so only the longer operators are listed (longest first).
+_MULTI_CHAR_OPERATORS = [
     "<<=", ">>=",
     "&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
     "|=", "&=", "^=", "<<", ">>", "**", "++", "--", "=>", "->", ":=",
-    "+", "-", "*", "/", "%", "!", "<", ">", "=", "&", "|", "^", "~",
-    "?", ":", ";", ",", ".", "(", ")", "{", "}", "[", "]",
 ]
 
+# One alternative per token shape, tried in order at each position. Only
+# ``newline``, ``block_comment`` and ``string`` (a backslash escapes a raw
+# ``\r``) can hold a line break. Horizontal whitespace matches nothing, so
+# ``finditer`` steps over it without handing back a match.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\f\v\r\n﻿]+)
+      (?P<newline>[\r\n][ \t\f\v\r\n\ufeff]*)
+    | (?P<pragma>pragma(?![A-Za-z0-9_$])(?:[^;\r\n/]|/(?![/*]))*;?)
+    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<line_comment>//[^\r\n]*)
-    | (?P<block_comment>/\*)
+    | (?P<block_comment>/\*[\s\S]*?\*/)
+    | (?P<open_comment>/\*)
     | (?P<string>"(?:[^"\\\r\n]|\\.)*"|'(?:[^'\\\r\n]|\\.)*')
-    | (?P<bad_string>["'])
+    | (?P<open_string>["'])
     | (?P<number>0[xX][0-9a-fA-F_]+|\d[\d_]*(?:\.[\d_]+)?(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<punct>%s)
-    """ % "|".join(re.escape(op) for op in _OPERATORS),
+    | (?P<punct>%s|[^ \t\f\v\ufeff])
+    """ % "|".join(re.escape(op) for op in _MULTI_CHAR_OPERATORS),
     re.VERBOSE,
 )
 
+_GROUP_KINDS = {
+    "pragma": PRAGMA_DIRECTIVE,
+    "line_comment": LINE_COMMENT,
+    "block_comment": BLOCK_COMMENT,
+    "string": LITERAL,
+    "number": LITERAL,
+}
 
-@dataclass(frozen=True)
+_LEX_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+}
+
+# Kinds of the fixed words; ``tokenize`` extends a copy with the words of
+# one source.
+_WORD_KINDS = dict.fromkeys(KEYWORDS, KEYWORD)
+_WORD_KINDS.update(true=LITERAL, false=LITERAL)
+
+
+@dataclass(slots=True)
 class Token:
     """One lexical token. ``span`` is (start_line, start_col, end_line, end_col)."""
 
@@ -106,44 +129,13 @@ def slice_span(source: str, span: tuple[int, int, int, int]) -> str:
     return source[starts[sl - 1] + sc - 1 : starts[el - 1] + ec]
 
 
-class _Locator:
-    def __init__(self, source: str):
-        self._starts = line_start_offsets(source)
-
-    def linecol(self, offset: int) -> tuple[int, int]:
-        idx = bisect_right(self._starts, offset) - 1
-        return idx + 1, offset - self._starts[idx] + 1
-
-    def span(self, start: int, end: int) -> tuple[int, int, int, int]:
-        # end is exclusive; spans are inclusive on both ends
-        sl, sc = self.linecol(start)
-        el, ec = self.linecol(end - 1)
-        return (sl, sc, el, ec)
-
-
-def _classify_word(text: str) -> str:
-    if text in ("true", "false"):
-        return LITERAL
-    if text in KEYWORDS or _SIZED_TYPE_RE.match(text):
-        return KEYWORD
-    return IDENTIFIER
-
-
-def _pragma_end(source: str, start: int) -> int:
-    """Extent of a pragma directive: up to and including ';', stopping
-    short of a line break or a comment opener."""
-    i = start
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == ";":
-            return i + 1
-        if ch in "\r\n":
-            return i
-        if ch == "/" and i + 1 < n and source[i + 1] in "/*":
-            return i
-        i += 1
-    return n
+def _line_breaks(text: str) -> tuple[int, int]:
+    """Number of line breaks in ``text`` and the offset just past the last."""
+    count = last = 0
+    for m in _LINE_BREAK_RE.finditer(text):
+        count += 1
+        last = m.end()
+    return count, last
 
 
 def tokenize(source: str) -> list[Token]:
@@ -153,50 +145,45 @@ def tokenize(source: str) -> list[Token]:
     block comment or string literal. Characters outside the recognized
     vocabulary become single-character punctuation tokens so that odd
     inputs degrade instead of failing.
+
+    One forward scan: the current line number and the offset of its first
+    character move on only at the matches that can hold a line break.
     """
-    loc = _Locator(source)
     tokens: list[Token] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            end = pos + 1
-            tokens.append(Token(PUNCTUATION, source[pos:end], loc.span(pos, end)))
-            pos = end
+    append = tokens.append
+    words = _WORD_KINDS.copy()
+    line = 1
+    line_start = 0
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        if group == "word":
+            kind = words.get(text)
+            if kind is None:
+                kind = words[text] = KEYWORD if _SIZED_TYPE_RE.match(text) else IDENTIFIER
+        elif group == "punct":
+            kind = PUNCTUATION
+        elif group == "newline":
+            if "\r" in text:
+                count, last = _line_breaks(text)
+                line += count
+                line_start = m.start() + last
+            else:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        kind = m.lastgroup
-        if kind == "ws":
-            pos = m.end()
-            continue
-        if kind == "line_comment":
-            tokens.append(Token(LINE_COMMENT, m.group(), loc.span(pos, m.end())))
-            pos = m.end()
-            continue
-        if kind == "block_comment":
-            close = source.find("*/", pos + 2)
-            if close < 0:
-                raise LexError("unterminated block comment", loc.linecol(pos)[0])
-            end = close + 2
-            tokens.append(Token(BLOCK_COMMENT, source[pos:end], loc.span(pos, end)))
-            pos = end
-            continue
-        if kind == "bad_string":
-            raise LexError("unterminated string literal", loc.linecol(pos)[0])
-        if kind == "string" or kind == "number":
-            tokens.append(Token(LITERAL, m.group(), loc.span(pos, m.end())))
-            pos = m.end()
-            continue
-        if kind == "ident":
-            text = m.group()
-            if text == "pragma":
-                end = _pragma_end(source, pos)
-                tokens.append(Token(PRAGMA_DIRECTIVE, source[pos:end], loc.span(pos, end)))
-                pos = end
+        elif group in _LEX_ERRORS:
+            raise LexError(_LEX_ERRORS[group], line)
+        else:
+            kind = _GROUP_KINDS[group]
+            if "\n" in text or "\r" in text:
+                start, end = m.span()
+                count, last = _line_breaks(text)
+                first_line, first_col = line, start - line_start + 1
+                line += count
+                line_start = start + last
+                append(Token(kind, text, (first_line, first_col, line, end - line_start)))
                 continue
-            tokens.append(Token(_classify_word(text), text, loc.span(pos, m.end())))
-            pos = m.end()
-            continue
-        tokens.append(Token(PUNCTUATION, m.group(), loc.span(pos, m.end())))
-        pos = m.end()
+        start, end = m.span()
+        append(Token(kind, text, (line, start - line_start + 1, line, end - line_start)))
     return tokens

@@ -3,7 +3,9 @@
 Spearman rho is defined as the Pearson correlation of average ranks,
 which reduces to the classic 1 - 6*sum(d^2)/(n*(n^2-1)) closed form on
 tie-free data. Two-sided p-values come from the Student-t distribution
-evaluated through the regularized incomplete beta function.
+evaluated through the regularized incomplete beta function. ``scipy.special``
+is imported at the first t-distribution call, not with this module, so a
+command that computes no statistic never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import DegenerateInputError, InputError
 
@@ -105,6 +106,8 @@ def student_t_cdf(t: float, df: float) -> float:
         return math.nan
     if math.isinf(t):
         return 0.0 if t < 0 else 1.0
+    from scipy.special import betainc
+
     x = df / (df + t * t)
     tail = 0.5 * float(betainc(0.5 * df, 0.5, x))
     return tail if t < 0 else 1.0 - tail
@@ -118,6 +121,8 @@ def student_t_quantile(p: float, df: float) -> float:
         raise InputError("probability must lie strictly between 0 and 1")
     if p == 0.5:
         return 0.0
+    from scipy.special import betaincinv
+
     tail = 2.0 * min(p, 1.0 - p)
     x = float(betaincinv(0.5 * df, 0.5, tail))
     magnitude = math.sqrt(df * (1.0 - x) / x) if x > 0 else math.inf

@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from golden_corpus import GOLDEN
 from solmetrics.corpus import (
     LabeledContractSet,
+    _ParsedFile,
     _parse_sol_file,
     export_metrics,
     import_metrics,
@@ -15,6 +19,7 @@ from solmetrics.corpus import (
     load_manifest,
 )
 from solmetrics.errors import CorpusError
+from solmetrics.lexer import tokenize
 from solmetrics.nodes import ContractDef, FunctionDef, SourceUnit, Statement
 
 SIMPLE = "contract Token {\n  uint supply;\n  function mint() public { supply += 1; }\n}"
@@ -224,6 +229,40 @@ def test_parse_result_carries_no_parse_tree(tmp_path):
         assert cls.__name__.encode() not in data
 
 
+_GOLDEN_SOURCES = [source for source, _ in GOLDEN.values()]
+# every token text of the golden sources, plus characters that break lexing
+_SOURCE_PIECES = sorted(
+    {t.text for source in _GOLDEN_SOURCES for t in tokenize(source)}
+    | {'"', "'", "\\", "/*", "*/", "//", "\ufeff", "\u0663", "\u2028", "\x00"}
+)
+_SEPARATORS = st.sampled_from(["", " ", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def _edited_golden_source(draw):
+    """A golden source with a few character ranges replaced by one piece each."""
+    text = draw(st.sampled_from(_GOLDEN_SOURCES))
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        text = text[:start] + draw(st.sampled_from(_SOURCE_PIECES)) + text[end:]
+    return text
+
+
+_SOURCE_SOUP = st.lists(st.tuples(st.sampled_from(_SOURCE_PIECES), _SEPARATORS), max_size=80).map(
+    lambda pairs: "".join(piece + sep for piece, sep in pairs)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_golden_source() | _SOURCE_SOUP)
+def test_parse_sol_file_never_raises(tmp_path_factory, text):
+    root = tmp_path_factory.getbasetemp()
+    with open(root / "fuzz.sol", "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert isinstance(_parse_sol_file((str(root), "fuzz.sol")), _ParsedFile)
+
+
 # ---------------------------------------------------------------------------
 # export / import
 
@@ -359,4 +398,27 @@ def test_import_rejects_unparsable_file(tmp_path, fmt, text, message):
     path = tmp_path / f"metrics.{fmt}"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusError, match=message):
+        import_metrics(str(path), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_import_missing_file_names_path(tmp_path, fmt):
+    path = str(tmp_path / f"missing.{fmt}")
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read metric table '{path}'")):
+        import_metrics(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_import_unreadable_file_names_path(tmp_path, fmt):
+    path = tmp_path / f"metrics.{fmt}"
+    path.mkdir()
+    with pytest.raises(CorpusError, match=re.escape(f"cannot read metric table '{path}'")):
+        import_metrics(str(path), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_import_non_utf8_file_names_path(tmp_path, fmt):
+    path = tmp_path / f"metrics.{fmt}"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(CorpusError, match=re.escape(f"metric table '{path}' is not valid UTF-8")):
         import_metrics(str(path), fmt)

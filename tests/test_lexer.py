@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solmetrics.errors import LexError
 from solmetrics.lexer import (
@@ -12,6 +14,7 @@ from solmetrics.lexer import (
     LITERAL,
     PRAGMA_DIRECTIVE,
     PUNCTUATION,
+    line_start_offsets,
     slice_span,
     tokenize,
 )
@@ -140,3 +143,47 @@ def test_span_round_trip_generated(pieces, newline_every):
     src = sep.join(pieces)
     for token in tokenize(src):
         assert slice_span(src, token.span) == token.text
+
+
+# Text from the characters that start, end or break tokens: line breaks of
+# every kind, characters only Unicode calls blank or a digit, quotes, comment
+# markers and backslashes, plus quoted runs of what a literal may hold (a
+# backslash escapes a raw \r there). Pieces are joined by blanks or breaks.
+_TRICKY = st.sampled_from(
+    ["\r", "\n", "\r\n", "\f", "\v", "\ufeff", '"', "'", "\\", "/*", "*/", "//",
+     "pragma", "\u0663", "\u2028", " ", "x", ";", "1"]
+)
+_IN_QUOTES = st.sampled_from(
+    ["x", " ", "\\\r", '\\"', "\\'", "\\\\", "\u2028", "\ufeff", "/*", "//"]
+)
+_QUOTED = st.builds(
+    lambda quote, body: quote + "".join(body) + quote,
+    st.sampled_from(['"', "'"]),
+    st.lists(_IN_QUOTES, max_size=3),
+)
+_SEPARATORS = st.sampled_from(["", " ", "\r", "\n", "\r\n", "\f", "\v", "\ufeff", "\u2028"])
+_ARBITRARY_TEXT = st.lists(st.tuples(_TRICKY | _QUOTED, _SEPARATORS), max_size=15).map(
+    lambda pairs: "".join(piece + sep for piece, sep in pairs)
+)
+_BLANK_RE = re.compile(r"[ \t\f\v\r\n\ufeff]*")
+
+
+@settings(deadline=None)
+@given(_ARBITRARY_TEXT)
+@example('"\\\r"\nx')  # a literal spanning two lines, then a token on the third
+def test_spans_round_trip_on_arbitrary_text(src):
+    try:
+        tokens = tokenize(src)
+    except LexError:
+        return
+    starts = line_start_offsets(src)
+    offset = 0
+    for token in tokens:
+        assert slice_span(src, token.span) == token.text
+        sl, sc, _, _ = token.span
+        start = starts[sl - 1] + sc - 1
+        assert start >= offset
+        # nothing but blanks between tokens, so no character is dropped
+        assert _BLANK_RE.fullmatch(src, offset, start)
+        offset = start + len(token.text)
+    assert _BLANK_RE.fullmatch(src, offset)
