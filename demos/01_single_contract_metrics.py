@@ -65,7 +65,7 @@ print(f"  nesting depth = {fm.nl}, statements = {fm.nos}, fan-out = {fm.noi}")
 graph = build_inheritance_graph([unit])
 print("\nper-contract metric vectors:")
 for contract in unit.contracts:
-    lines = line_accounting(SOURCE, contract, tokens)
+    lines = line_accounting(unit, contract)
     vector = contract_metrics(contract, lines, graph, "ledger.sol")
     print(f"\n  {contract.kind} {contract.name}")
     for name in METRIC_NAMES:

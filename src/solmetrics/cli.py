@@ -87,10 +87,7 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(("file", "contract") + METRIC_NAMES)
     for file, name, metrics in rows:
-        writer.writerow(
-            [file, name]
-            + [repr(v) if isinstance(v, float) else str(v) for v in metrics.as_row()]
-        )
+        writer.writerow([file, name] + metrics.as_cells())
     return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
 
 

@@ -14,16 +14,14 @@ import hashlib
 import io
 import json
 import os
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import CorpusError, LexError
 from .inheritance import InheritanceGraph, build_inheritance_graph
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .metrics import METRIC_NAMES, ContractMetrics, contract_metrics
-from .nodes import ContractDef
-from .parser import TokenIndex, index_tokens, line_accounting, parse_file
+from .parser import line_accounting, normalized_contract_text, parse_file
 
 LABEL_VULNERABLE = "vulnerable"
 LABEL_NEUTRAL = "neutral"
@@ -139,22 +137,6 @@ def load_manifest(path: str) -> CorpusManifest:
     return CorpusManifest(tuple(entries), path, content_hash)
 
 
-def normalized_contract_text(
-    tokens: list[Token], contract: ContractDef, index: TokenIndex | None = None
-) -> str:
-    """Comment-stripped, whitespace-normalized text of one contract span.
-
-    Joins the code tokens lying wholly inside the span, found by bisecting
-    the file's :class:`TokenIndex` (built from ``tokens`` when omitted).
-    """
-    if index is None:
-        index = index_tokens(tokens)
-    first, last = contract.span
-    lo = bisect_left(index.code_starts, first)
-    hi = bisect_right(index.code_ends, last)
-    return " ".join(index.code_texts[lo:hi])
-
-
 @dataclass
 class ContractFacts:
     """One parsed contract as a worker sends it back, without its parse tree."""
@@ -195,14 +177,12 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
     except LexError as exc:
         return _ParsedFile(file, error=f"lex error: {exc}")
     unit = parse_file(tokens, file)
-    index = index_tokens(tokens)
     alone = InheritanceGraph()
     contracts = []
     for contract in unit.contracts:
-        lines = line_accounting(source, contract, tokens, index)
-        digest = hashlib.sha256(
-            normalized_contract_text(tokens, contract, index).encode("utf-8")
-        ).hexdigest()
+        lines = line_accounting(unit, contract)
+        text = normalized_contract_text(unit, contract)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         metrics = contract_metrics(contract, lines, alone, file)
         contracts.append(ContractFacts(contract.name, contract.base_names, digest, metrics))
     return _ParsedFile(file, contracts=contracts, diagnostics=[str(d) for d in unit.diagnostics])
@@ -226,9 +206,8 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
     for pf in parsed:
         for facts in pf.contracts:
             key = (pf.path, facts.name)
-            facts.metrics = replace(
-                facts.metrics, dit=graph.dit(key), noa=graph.noa(key), nod=graph.nod(key)
-            )
+            m = facts.metrics
+            m.dit, m.noa, m.nod = graph.dit(key), graph.noa(key), graph.nod(key)
     return parsed
 
 
@@ -306,7 +285,7 @@ def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv"
             for row in rows:
                 writer.writerow(
                     [row.file, row.contract]
-                    + [repr(v) if isinstance(v, float) else str(v) for v in row.metrics.as_row()]
+                    + row.metrics.as_cells()
                     + [row.label, row.vuln_type or ""]
                 )
     elif fmt == "json":
@@ -359,7 +338,8 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
 
     Rows are validated like manifest rows; a short row, a bad metric value
     or a bad label raises :class:`CorpusError` naming the row, and a JSON
-    document without a ``rows`` list raises one naming the file.
+    document that nests too deeply or has no ``rows`` list raises one
+    naming the file.
     """
     if fmt not in ("csv", "json"):
         raise CorpusError(f"unknown import format {fmt!r}")
@@ -385,6 +365,8 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path!r} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise CorpusError(f"{path!r} nests too deeply to decode") from exc
         items = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(items, list):
             raise CorpusError(f"{path!r}: expected a JSON object with a 'rows' list")

@@ -84,7 +84,7 @@ class FunctionMetrics:
     noi: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContractMetrics:
     sloc: int
     lloc: int
@@ -113,6 +113,10 @@ class ContractMetrics:
 
     def as_row(self) -> list[int | float]:
         return [getattr(self, name) for name in METRIC_NAMES]
+
+    def as_cells(self) -> list[str]:
+        """The values as table cells; a float's repr reads back exactly."""
+        return [repr(v) if isinstance(v, float) else str(v) for v in self.as_row()]
 
 
 class _FunctionWalker:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .lexer import Token
+
 # Statement kinds
 IF = "if"
 FOR = "for"
@@ -119,12 +121,30 @@ class Diagnostic:
         return f"{self.path}:{self.line}: {self.message}"
 
 
+@dataclass(frozen=True)
+class TokenIndex:
+    """A file's one code/comment split; span queries over it cost
+    O(contract), not O(file).
+
+    ``code_upto[n]`` and ``comment_upto[n]`` count the lines 1..n touched by
+    a code token and by a comment token, so the count over any line span is
+    one subtraction. ``code`` lists the code tokens in stream order; their
+    start and end lines never decrease, so the code tokens lying inside a
+    line span are one contiguous slice.
+    """
+
+    code_upto: list[int]
+    comment_upto: list[int]
+    code: list[Token]
+
+
 @dataclass
 class SourceUnit:
     path: str
     pragma: str | None
     contracts: list[ContractDef]
     total_lines: int
+    lines: TokenIndex = field(repr=False, compare=False)
     imports: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

@@ -10,7 +10,7 @@ recovery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .errors import ParseError
@@ -48,6 +48,7 @@ from .nodes import (
     SourceUnit,
     StateVarDecl,
     Statement,
+    TokenIndex,
 )
 
 # Deepest nesting of statements inside one function body. Each level costs
@@ -844,6 +845,28 @@ def _skip_toplevel_item(cur: _Cursor) -> None:
         cur.advance()
 
 
+def _split_comments(tokens: list[Token]) -> TokenIndex:
+    """The file's code tokens and per-line code/comment flags, in one pass.
+
+    The flags are sized by the largest end line, not the last token's, so
+    any token list, ordered or not, indexes without raising.
+    """
+    n_lines = max((t.span[2] for t in tokens), default=0)
+    code_lines = bytearray(n_lines + 1)
+    comment_lines = bytearray(n_lines + 1)
+    code: list[Token] = []
+    for t in tokens:
+        first, _, last, _ = t.span
+        if t.kind in COMMENT_KINDS:
+            flags = comment_lines
+        else:
+            flags = code_lines
+            code.append(t)
+        for line in range(first, last + 1):
+            flags[line] = 1
+    return TokenIndex(list(accumulate(code_lines)), list(accumulate(comment_lines)), code)
+
+
 def parse_file(tokens: list[Token], path: str) -> SourceUnit:
     """Parse a token stream into a source unit.
 
@@ -852,10 +875,12 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
     whose statements nest deeper than :data:`MAX_NESTING`, becomes one
     diagnostic and parsing resumes at the next top-level construct; no
     input raises. Duplicate contract names within a file keep the first
-    definition and diagnose the rest.
+    definition and diagnose the rest. The unit keeps the file's
+    :class:`TokenIndex` as ``lines`` for :func:`line_accounting` and
+    :func:`normalized_contract_text`.
     """
-    code = [t for t in tokens if not t.is_comment]
-    cur = _Cursor(code)
+    lines = _split_comments(tokens)
+    cur = _Cursor(lines.code)
     pragma: str | None = None
     imports: list[str] = []
     contracts: list[ContractDef] = []
@@ -901,6 +926,7 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
         pragma=pragma,
         contracts=contracts,
         total_lines=tokens[-1].end_line if tokens else 0,
+        lines=lines,
         imports=imports,
         diagnostics=diagnostics,
     )
@@ -911,46 +937,8 @@ def parse_source(source: str, path: str = "<string>") -> SourceUnit:
     return parse_file(tokenize(source), path)
 
 
-
-
-@dataclass(frozen=True)
-class TokenIndex:
-    """Per-file facts that make span queries cost O(contract), not O(file).
-
-    ``code_upto[n]`` and ``comment_upto[n]`` count the lines 1..n touched by
-    a code token and by a comment token, so the count over any line span is
-    one subtraction. ``code_texts`` lists the code tokens in stream order;
-    their ``code_starts`` and ``code_ends`` lines never decrease, so the code
-    tokens lying inside a line span are one contiguous slice.
-    """
-
-    code_upto: list[int]
-    comment_upto: list[int]
-    code_texts: list[str]
-    code_starts: list[int]
-    code_ends: list[int]
-
-
-def index_tokens(tokens: list[Token]) -> TokenIndex:
-    """Build a file's :class:`TokenIndex` in one pass over its tokens."""
-    n_lines = tokens[-1].span[2] if tokens else 0
-    code = bytearray(n_lines + 1)
-    comment = bytearray(n_lines + 1)
-    texts: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for t in tokens:
-        first, _, last, _ = t.span
-        if t.kind in COMMENT_KINDS:
-            flags = comment
-        else:
-            flags = code
-            texts.append(t.text)
-            starts.append(first)
-            ends.append(last)
-        for line in range(first, last + 1):
-            flags[line] = 1
-    return TokenIndex(list(accumulate(code)), list(accumulate(comment)), texts, starts, ends)
+# ---------------------------------------------------------------------------
+# span queries over a unit's line index
 
 
 def _lines_in(upto: list[int], first: int, last: int) -> int:
@@ -958,25 +946,33 @@ def _lines_in(upto: list[int], first: int, last: int) -> int:
     return upto[hi] - upto[lo - 1] if lo <= hi else 0
 
 
-def line_accounting(
-    source: str, contract: ContractDef, tokens: list[Token], index: TokenIndex | None = None
-) -> LineCounts:
+def line_accounting(unit: SourceUnit, contract: ContractDef) -> LineCounts:
     """Source/logical/comment line counts over one contract's span.
 
     sloc spans the whole contract including blanks; lloc counts lines with
     at least one non-comment token; cloc counts lines touched by a comment
     token. A mixed code+comment line counts toward both lloc and cloc.
 
-    The counts come from the file's :class:`TokenIndex` in O(1); pass the
-    index built once per file by :func:`index_tokens`, or omit it to build
-    one from ``tokens``. Contracts sharing a line, or a block comment
-    crossing a contract boundary, count that line in each span it touches.
+    The counts come from the unit's :class:`TokenIndex` in O(1). Contracts
+    sharing a line, or a block comment crossing a contract boundary, count
+    that line in each span it touches.
     """
-    if index is None:
-        index = index_tokens(tokens)
     first, last = contract.span
     return LineCounts(
         sloc=last - first + 1,
-        lloc=_lines_in(index.code_upto, first, last),
-        cloc=_lines_in(index.comment_upto, first, last),
+        lloc=_lines_in(unit.lines.code_upto, first, last),
+        cloc=_lines_in(unit.lines.comment_upto, first, last),
     )
+
+
+def normalized_contract_text(unit: SourceUnit, contract: ContractDef) -> str:
+    """Comment-stripped, whitespace-normalized text of one contract span.
+
+    Joins the code tokens lying wholly inside the span, found by bisecting
+    the unit's :class:`TokenIndex`.
+    """
+    first, last = contract.span
+    code = unit.lines.code
+    lo = bisect_left(code, first, key=lambda t: t.span[0])
+    hi = bisect_right(code, last, key=lambda t: t.span[2])
+    return " ".join([t.text for t in code[lo:hi]])

@@ -3,19 +3,17 @@ from __future__ import annotations
 import pytest
 
 from solmetrics.inheritance import build_inheritance_graph
-from solmetrics.lexer import tokenize
 from solmetrics.metrics import ContractMetrics, contract_metrics
-from solmetrics.parser import line_accounting, parse_file
+from solmetrics.parser import line_accounting, parse_source
 
 
 def metrics_for(source: str, path: str = "test.sol") -> dict[str, ContractMetrics]:
     """Parse one file and compute the metric vector of every contract."""
-    tokens = tokenize(source)
-    unit = parse_file(tokens, path)
+    unit = parse_source(source, path)
     graph = build_inheritance_graph([unit])
     out = {}
     for contract in unit.contracts:
-        lines = line_accounting(source, contract, tokens)
+        lines = line_accounting(unit, contract)
         out[contract.name] = contract_metrics(contract, lines, graph, path)
     return out
 

@@ -1,0 +1,64 @@
+from __future__ import annotations
+
+import importlib.util
+import os
+
+import pytest
+
+from solmetrics.corpus import ingest, load_manifest
+
+_TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "build_manifest.py")
+_spec = importlib.util.spec_from_file_location("build_manifest", _TOOL)
+build_manifest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(build_manifest)
+
+
+@pytest.fixture
+def built(tmp_path, capsys):
+    """Run the tool over a small tree; returns (manifest path, root, stderr)."""
+    root = tmp_path / "src"
+    (root / "sub").mkdir(parents=True)
+    (root / "a.sol").write_text("contract A1 { uint x; }\ncontract A2 { uint y; }\n")
+    (root / "sub" / "b.sol").write_text("contract B { function f() public {} }\n")
+    (root / "c.sol").write_text("contract C is A1 {}\n")
+    (root / "a,b.sol").write_text("contract Comma {}\n")
+    (root / " pad.sol").write_text("contract Pad {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("file,contract,label,type\na.sol,A1,vulnerable,RE\nsub/b.sol,vulnerable,TP\n")
+    out = tmp_path / "manifest.csv"
+    rc = build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)])
+    assert rc == 0
+    return str(out), str(root), capsys.readouterr().err
+
+
+def test_labels_per_contract_per_file_and_default(built):
+    out, _, _ = built
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read().splitlines() == [
+            "file,contract,label,type",
+            "a.sol,A1,vulnerable,RE",
+            "a.sol,A2,neutral,",
+            "c.sol,C,neutral,",
+            "sub/b.sol,B,vulnerable,TP",
+        ]
+
+
+def test_paths_the_manifest_cannot_hold_are_skipped(built):
+    _, _, err = built
+    assert err.splitlines() == [
+        "skipped ' pad.sol': a comma, line break or edge blank in the path",
+        "skipped 'a,b.sol': a comma, line break or edge blank in the path",
+    ]
+
+
+def test_written_manifest_loads_and_ingests(built):
+    out, root, _ = built
+    contract_set = ingest(load_manifest(out), root)
+    assert [r.contract_id for r in contract_set.rows] == [
+        "a.sol:A1",
+        "a.sol:A2",
+        "c.sol:C",
+        "sub/b.sol:B",
+    ]
+    assert contract_set.counts == (2, 2)
+    assert contract_set.diagnostics == []

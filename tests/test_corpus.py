@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import metrics_for
 from golden_corpus import GOLDEN
 from solmetrics.corpus import (
     LabeledContractSet,
@@ -17,10 +18,13 @@ from solmetrics.corpus import (
     import_metrics,
     ingest,
     load_manifest,
+    parse_files,
 )
 from solmetrics.errors import CorpusError
+from solmetrics.inheritance import build_inheritance_graph
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import ContractDef, FunctionDef, SourceUnit, Statement
+from solmetrics.parser import parse_source
 
 SIMPLE = "contract Token {\n  uint supply;\n  function mint() public { supply += 1; }\n}"
 OTHER = "contract Vault {\n  uint locked;\n  function lock() public { locked += 2; }\n}"
@@ -229,6 +233,34 @@ def test_parse_result_carries_no_parse_tree(tmp_path):
         assert cls.__name__.encode() not in data
 
 
+def test_parse_files_matches_metrics_for_on_golden_corpus(tmp_path):
+    for name, (source, _) in GOLDEN.items():
+        file = f"{name}.sol"
+        (tmp_path / file).write_text(source, encoding="utf-8")
+        [pf] = parse_files(str(tmp_path), [file])
+        assert {c.name: c.metrics for c in pf.contracts} == metrics_for(source, file), name
+
+
+def test_parse_files_inheritance_metrics_follow_the_corpus_graph(tmp_path):
+    sources = {
+        "base.sol": "contract A is External {}",
+        "mid.sol": "contract B is A {}",
+        "leaves.sol": "contract C is B {}\ncontract D is B, A {}",
+    }
+    for file, source in sources.items():
+        (tmp_path / file).write_text(source, encoding="utf-8")
+    parsed = parse_files(str(tmp_path), list(sources))
+    graph = build_inheritance_graph([parse_source(s, f) for f, s in sources.items()])
+    assert graph.unresolved_bases == {(("base.sol", "A"), "External")}
+    got = {
+        (pf.path, c.name): (c.metrics.dit, c.metrics.noa, c.metrics.nod)
+        for pf in parsed
+        for c in pf.contracts
+    }
+    assert got == {key: (graph.dit(key), graph.noa(key), graph.nod(key)) for key in graph.nodes}
+    assert got[("leaves.sol", "C")] == (3, 2, 0)
+
+
 _GOLDEN_SOURCES = [source for source, _ in GOLDEN.values()]
 # every token text of the golden sources, plus characters that break lexing
 _SOURCE_PIECES = sorted(
@@ -399,6 +431,13 @@ def test_import_rejects_unparsable_file(tmp_path, fmt, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusError, match=message):
         import_metrics(str(path), fmt)
+
+
+def test_import_deeply_nested_json_names_path(tmp_path):
+    path = tmp_path / "metrics.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"'{path}' nests too deeply to decode")):
+        import_metrics(str(path), "json")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,16 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from solmetrics.corpus import normalized_contract_text
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import LineCounts
-from solmetrics.parser import index_tokens, line_accounting, parse_file
+from solmetrics.parser import line_accounting, normalized_contract_text, parse_file, parse_source
 
 
 def counts(source: str, index: int = 0):
-    tokens = tokenize(source)
-    unit = parse_file(tokens, "x.sol")
-    return line_accounting(source, unit.contracts[index], tokens)
+    unit = parse_source(source, "x.sol")
+    return line_accounting(unit, unit.contracts[index])
 
 
 def test_one_line_contract():
@@ -167,11 +165,6 @@ def test_index_matches_naive_rescan(source):
     tokens = tokenize(source)
     unit = parse_file(tokens, "x.sol")
     assert not unit.diagnostics
-    index = index_tokens(tokens)
     for contract in unit.contracts:
-        expected = naive_line_accounting(contract, tokens)
-        assert line_accounting(source, contract, tokens, index) == expected
-        assert line_accounting(source, contract, tokens) == expected
-        text = naive_normalized_text(tokens, contract)
-        assert normalized_contract_text(tokens, contract, index) == text
-        assert normalized_contract_text(tokens, contract) == text
+        assert line_accounting(unit, contract) == naive_line_accounting(contract, tokens)
+        assert normalized_contract_text(unit, contract) == naive_normalized_text(tokens, contract)

@@ -347,6 +347,13 @@ def test_abstract_contract_header():
     assert c.functions[0].body is None
 
 
+def test_units_compare_and_print_without_their_line_index():
+    source = GOLDEN["inheritance_chain_depth_3"][0] + "\n// tail comment\n"
+    unit = parse_source(source, "a.sol")
+    assert unit == parse_source(source, "a.sol")
+    assert " lines=" not in repr(unit) and "TokenIndex" not in repr(unit)
+
+
 def test_total_lines_from_tokens():
     tokens = tokenize("contract A {}\n\n// tail\n")
     unit = parse_file(tokens, "a.sol")

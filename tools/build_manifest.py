@@ -27,7 +27,12 @@ import argparse
 import os
 import sys
 
-from solmetrics.corpus import LABEL_NEUTRAL, LABEL_VULNERABLE, VULNERABILITY_TYPES
+from solmetrics.corpus import (
+    LABEL_NEUTRAL,
+    LABEL_VULNERABLE,
+    MANIFEST_HEADER,
+    VULNERABILITY_TYPES,
+)
 from solmetrics.errors import LexError
 from solmetrics.lexer import tokenize
 from solmetrics.parser import parse_file
@@ -59,6 +64,11 @@ def load_labels(path: str) -> tuple[dict, dict]:
     return per_contract, per_file
 
 
+def _manifest_can_hold(path: str) -> bool:
+    """Whether ``load_manifest`` reads ``path`` back unchanged from one field."""
+    return "," not in path and path.splitlines() == [path] and path.strip() == path
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", help="directory tree of .sol files")
@@ -81,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             full = os.path.join(dirpath, name)
             rel = os.path.relpath(full, args.root)
+            if not _manifest_can_hold(rel):
+                skipped.append(f"{rel!r}: a comma, line break or edge blank in the path")
+                continue
             try:
                 with open(full, "rb") as fh:
                     source = fh.read().decode("utf-8")
@@ -102,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                 counts[label] += 1
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("file,contract,label,type\n")
+        fh.write(",".join(MANIFEST_HEADER) + "\n")
         fh.write("\n".join(rows) + ("\n" if rows else ""))
 
     print(
