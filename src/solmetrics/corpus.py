@@ -88,14 +88,15 @@ def _check_label(row: str, label: str, vuln_type: str | None) -> None:
 
 def _read_text(path: str, what: str) -> tuple[str, str]:
     """The UTF-8 text of a file and the sha256 of its bytes, read once;
-    an unreadable or undecodable file raises :class:`CorpusError`."""
+    a leading byte-order mark is dropped from the text, not from the hash.
+    An unreadable or undecodable file raises :class:`CorpusError`."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path!r}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{what} {path!r} is not valid UTF-8") from exc
     return text, hashlib.sha256(raw).hexdigest()

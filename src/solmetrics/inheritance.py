@@ -28,34 +28,13 @@ class InheritanceGraph:
     _bases: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
     _derived: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
     _unresolved: dict[ContractKey, set[str]] = field(default_factory=dict, repr=False)
-    _dit_cache: dict[ContractKey, int] = field(default_factory=dict, repr=False)
-
-    def unresolved_of(self, key: ContractKey) -> set[str]:
-        return set(self._unresolved.get(key, ()))
+    _dit: dict[ContractKey, int] = field(default_factory=dict, repr=False)
 
     def dit(self, key: ContractKey) -> int:
         """Longest ancestor path; an unresolved base is a path of length 1.
 
-        Walks the bases in post-order with an explicit stack, memoizing
-        every contract it finishes, so chain depth is not bounded by the
-        interpreter's recursion limit.
-        """
-        cache = self._dit_cache
-        stack = [key]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            bases = self._bases.get(node, ())
-            pending = [b for b in bases if b not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            best = 1 if node in self._unresolved else 0
-            cache[node] = max([best] + [1 + cache[b] for b in bases])
-        return cache[key]
+        The builder's cycle check records it for every contract."""
+        return self._dit.get(key, 0)
 
     def ancestors(self, key: ContractKey) -> set[ContractKey]:
         return self._reachable(key, self._bases)
@@ -64,7 +43,7 @@ class InheritanceGraph:
         return self._reachable(key, self._derived)
 
     def noa(self, key: ContractKey) -> int:
-        return len(self.ancestors(key)) + len(self.unresolved_of(key))
+        return len(self.ancestors(key)) + len(self._unresolved.get(key, ()))
 
     def nod(self, key: ContractKey) -> int:
         return len(self.descendants(key))
@@ -123,6 +102,9 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
 
 
 def _check_acyclic(graph: InheritanceGraph) -> None:
+    """Post-order DFS over the base edges with an explicit stack. It records
+    each contract's DIT when it finishes the contract, after all its bases;
+    a base still on the path is a cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[ContractKey, int] = {k: WHITE for k in graph.nodes}
     for start in sorted(graph.nodes):
@@ -148,3 +130,5 @@ def _check_acyclic(graph: InheritanceGraph) -> None:
             else:
                 color[node] = BLACK
                 path.pop()
+                best = 1 if node in graph._unresolved else 0
+                graph._dit[node] = max([best] + [1 + graph._dit[b] for b in bases])

@@ -21,7 +21,6 @@ from .nodes import (
     ContractDef,
     FunctionDef,
     LineCounts,
-    Statement,
 )
 
 METRIC_NAMES: tuple[str, ...] = (
@@ -119,65 +118,52 @@ class ContractMetrics:
         return [repr(v) if isinstance(v, float) else str(v) for v in self.as_row()]
 
 
-class _FunctionWalker:
-    def __init__(self) -> None:
-        self.decisions = 0
-        self.logical = 0
-        self.nos = 0
-        self.noi = 0
-        self.max_nl = 0
-        self.max_nle = 0
+def function_metrics(fn: FunctionDef) -> FunctionMetrics:
+    """Cyclomatic complexity, nesting depths and statement/invocation counts
+    for one function. Bodyless declarations yield mccc 1 and zeros.
 
-    def walk(self, stmt: Statement, nl_depth: int, nle_depth: int) -> None:
+    One loop over an explicit stack of (statement, NL depth, NLE depth), so
+    no nesting depth can exhaust the interpreter's recursion limit. The
+    sums and maxima do not depend on the order of the visits.
+    """
+    if fn.body is None:
+        return FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
+    decisions = logical = nos = noi = max_nl = max_nle = 0
+    top = fn.body.children if fn.body.kind == BLOCK else [fn.body]
+    stack = [(stmt, 0, 0) for stmt in top]
+    while stack:
+        stmt, nl, nle = stack.pop()
         if stmt.kind not in NON_COUNTING_KINDS:
-            self.nos += 1
-        self.decisions += stmt.ternary_ops
-        self.logical += stmt.condition_ops
-        self.noi += sum(1 for c in stmt.calls if not c.is_builtin_guard)
+            nos += 1
+        decisions += stmt.ternary_ops
+        logical += stmt.condition_ops
+        noi += sum(1 for c in stmt.calls if not c.is_builtin_guard)
         if stmt.kind == IF:
-            self.decisions += 1
-            my_nl = nl_depth + 1
-            my_nle = nle_depth + 1
-            self.max_nl = max(self.max_nl, my_nl)
-            self.max_nle = max(self.max_nle, my_nle)
+            decisions += 1
+            max_nl = max(max_nl, nl + 1)
+            max_nle = max(max_nle, nle + 1)
             else_child = stmt.else_child
             for child in stmt.children:
                 if child is else_child and child.kind == IF:
                     # else-if continues the chain at its parent's depth
-                    self.walk(child, nl_depth, nle_depth)
+                    stack.append((child, nl, nle))
                 else:
-                    self.walk(child, my_nl, my_nle)
+                    stack.append((child, nl + 1, nle + 1))
         elif stmt.kind in LOOP_KINDS:
-            self.decisions += 1
-            my_nl = nl_depth + 1
-            self.max_nl = max(self.max_nl, my_nl)
-            for child in stmt.children:
-                self.walk(child, my_nl, nle_depth)
+            decisions += 1
+            max_nl = max(max_nl, nl + 1)
+            stack.extend((child, nl + 1, nle) for child in stmt.children)
         else:
-            for child in stmt.children:
-                self.walk(child, nl_depth, nle_depth)
-
-
-def function_metrics(fn: FunctionDef) -> FunctionMetrics:
-    """Cyclomatic complexity, nesting depths and statement/invocation counts
-    for one function. Bodyless declarations yield mccc 1 and zeros."""
-    if fn.body is None:
-        return FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
-    w = _FunctionWalker()
-    if fn.body.kind == BLOCK:
-        for child in fn.body.children:
-            w.walk(child, 0, 0)
-    else:
-        w.walk(fn.body, 0, 0)
-    mccc = 1 + w.decisions
+            stack.extend((child, nl, nle) for child in stmt.children)
+    mccc = 1 + decisions
     return FunctionMetrics(
         mccc=mccc,
-        mccc_strict=mccc + w.logical,
-        nl=w.max_nl,
-        nle=w.max_nle,
+        mccc_strict=mccc + logical,
+        nl=max_nl,
+        nle=max_nle,
         numpar=len(fn.params),
-        nos=w.nos,
-        noi=w.noi,
+        nos=nos,
+        noi=noi,
     )
 
 

@@ -1,8 +1,10 @@
 """Syntax tree for the supported Solidity subset.
 
-Spans are inclusive 1-based line ranges. The tree keeps only what the
-metric definitions consume: declarations, control flow, call sites and
-parameter lists. Anything else is swallowed as an opaque statement.
+The tree keeps only what the metric definitions consume: declarations,
+parameter lists, and for each statement its kind, children, operator
+counts and call sites. Anything outside the subset is swallowed as an
+opaque statement. A contract's ``span`` (inclusive 1-based lines) is the
+only line range kept; line accounting and dedupe read it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ DO_WHILE = "do-while"
 RETURN = "return"
 EMIT = "emit"
 EXPRESSION = "expression"
-VARIABLE_DECLARATION = "variable-declaration"
 BLOCK = "block"
 UNCHECKED_BLOCK = "unchecked-block"
 ASSEMBLY_OPAQUE = "assembly-opaque"
@@ -45,7 +46,6 @@ class CallSite:
 @dataclass
 class Statement:
     kind: str
-    span: tuple[int, int]
     children: list["Statement"] = field(default_factory=list)
     condition_ops: int = 0
     ternary_ops: int = 0
@@ -72,7 +72,6 @@ class FunctionDef:
     kind: str  # function | constructor | fallback | receive | modifier-def
     params: list[Param]
     body: Statement | None
-    span: tuple[int, int]
     return_types: list[str] = field(default_factory=list)
 
     @property
@@ -84,7 +83,6 @@ class FunctionDef:
 class StateVarDecl:
     name: str
     type_text: str
-    span: tuple[int, int]
     new_refs: list[str] = field(default_factory=list)  # `new X(...)` in initializer
 
 
@@ -143,7 +141,6 @@ class SourceUnit:
     path: str
     pragma: str | None
     contracts: list[ContractDef]
-    total_lines: int
     lines: TokenIndex = field(repr=False, compare=False)
     imports: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)

@@ -21,7 +21,6 @@ from .lexer import (
     PRAGMA_DIRECTIVE,
     PUNCTUATION,
     Token,
-    is_elementary_type,
     tokenize,
 )
 from .nodes import (
@@ -37,7 +36,6 @@ from .nodes import (
     REQUIRE_LIKE,
     RETURN,
     UNCHECKED_BLOCK,
-    VARIABLE_DECLARATION,
     WHILE,
     CallSite,
     ContractDef,
@@ -96,7 +94,6 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.last: Token | None = None
         self.depth = 0
         self.item_line = 1
 
@@ -110,13 +107,11 @@ class _Cursor:
         except IndexError:
             raise ParseError("unexpected end of file", self.line()) from None
         self.i += 1
-        self.last = tok
         return tok
 
     def jump(self, i: int) -> None:
         """Consume every token before index ``i`` (``i`` > the current index)."""
         self.i = i
-        self.last = self.tokens[i - 1]
 
     def skip_path(self) -> str:
         """Consume the dotted identifier path at the cursor; returns its text."""
@@ -141,7 +136,7 @@ class _Cursor:
         t = self.peek()
         if t is not None:
             return t.start_line
-        return self.last.end_line if self.last is not None else 1
+        return self.tokens[-1].end_line if self.tokens else 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,35 +281,6 @@ def _collect_generic_run(cur: _Cursor) -> tuple[list[Token], bool]:
     return out, False
 
 
-def _looks_like_declaration(tokens: list[Token]) -> bool:
-    if not tokens:
-        return False
-    t0 = tokens[0]
-    if t0.kind == KEYWORD:
-        return t0.text in ("mapping", "function") or is_elementary_type(t0.text)
-    if t0.text == "(":
-        # tuple declaration iff a type keyword or adjacent identifiers inside
-        depth = 0
-        for a, b in zip(tokens, tokens[1:]):
-            if a.text == "(":
-                depth += 1
-            elif a.text == ")":
-                depth -= 1
-            if depth >= 1 and a.kind == KEYWORD and is_elementary_type(a.text):
-                return True
-            if depth >= 1 and a.kind == IDENTIFIER and b.kind == IDENTIFIER:
-                return True
-        return False
-    if t0.kind != IDENTIFIER:
-        return False
-    _, j = _path_end(tokens, 0)
-    while j + 1 < len(tokens) and tokens[j].text == "[":
-        j = _group_end(tokens, j, "[", "]") or len(tokens)
-    while j < len(tokens) and tokens[j].kind == KEYWORD and tokens[j].text in _STORAGE_KEYWORDS:
-        j += 1
-    return j < len(tokens) and tokens[j].kind == IDENTIFIER
-
-
 def _skip_to_brace(cur: _Cursor) -> bool:
     """Consume a construct's header up to its '{'; False if a ';', '}' or the
     end of file comes first."""
@@ -342,14 +308,14 @@ def _parse_block(cur: _Cursor) -> Statement:
         if cur.at_end:
             raise ParseError("unbalanced '{'", opener.start_line)
         children.append(_parse_statement(cur))
-    closer = cur.advance()
-    return Statement(BLOCK, (opener.start_line, closer.end_line), children)
+    cur.advance()
+    return Statement(BLOCK, children)
 
 
 def _generic_after(cur: _Cursor, kw: Token) -> Statement:
     """A keyword statement missing its opener, parsed as a generic statement."""
     rest, _ = _collect_generic_run(cur)
-    return _finish_generic([kw] + rest, kw)
+    return _finish_generic([kw] + rest)
 
 
 def _parse_if(cur: _Cursor) -> Statement:
@@ -363,7 +329,6 @@ def _parse_if(cur: _Cursor) -> Statement:
         children.append(_parse_statement(cur))
     return Statement(
         IF,
-        (kw.start_line, children[-1].span[1]),
         children,
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -383,7 +348,6 @@ def _parse_for(cur: _Cursor) -> Statement:
     body = _parse_statement(cur)
     return Statement(
         FOR,
-        (kw.start_line, body.span[1]),
         [body],
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -399,7 +363,6 @@ def _parse_while(cur: _Cursor) -> Statement:
     body = _parse_statement(cur)
     return Statement(
         WHILE,
-        (kw.start_line, body.span[1]),
         [body],
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -408,7 +371,7 @@ def _parse_while(cur: _Cursor) -> Statement:
 
 
 def _parse_do_while(cur: _Cursor) -> Statement:
-    kw = cur.advance()
+    cur.advance()
     body = _parse_statement(cur)
     calls: list[CallSite] = []
     logical = ternaries = 0
@@ -417,7 +380,6 @@ def _parse_do_while(cur: _Cursor) -> Statement:
     cur.match(";")
     return Statement(
         DO_WHILE,
-        (kw.start_line, cur.last.end_line),
         [body],
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -426,10 +388,10 @@ def _parse_do_while(cur: _Cursor) -> Statement:
 
 
 def _parse_return(cur: _Cursor) -> Statement:
-    kw = cur.advance()
+    cur.advance()
     expr, _ = _collect_generic_run(cur)
     calls, _, ternaries = _scan_expression(expr)
-    return Statement(RETURN, (kw.start_line, cur.last.end_line), calls=calls, ternary_ops=ternaries)
+    return Statement(RETURN, calls=calls, ternary_ops=ternaries)
 
 
 def _parse_named_call(cur: _Cursor) -> Statement:
@@ -451,28 +413,27 @@ def _parse_named_call(cur: _Cursor) -> Statement:
         inner_calls, _, ternaries = _scan_expression(_paren_inner(cur))
         calls.extend(inner_calls)
     cur.match(";")
-    return Statement(kind, (kw.start_line, cur.last.end_line), calls=calls, ternary_ops=ternaries)
+    return Statement(kind, calls=calls, ternary_ops=ternaries)
 
 
 def _parse_unchecked(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("{"):
         return _generic_after(cur, kw)
-    block = _parse_block(cur)
-    return Statement(UNCHECKED_BLOCK, (kw.start_line, block.span[1]), block.children)
+    return Statement(UNCHECKED_BLOCK, _parse_block(cur).children)
 
 
 def _parse_assembly(cur: _Cursor) -> Statement:
-    kw = cur.advance()
+    cur.advance()
     if _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
     else:
         cur.match(";")
-    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, cur.last.end_line))
+    return Statement(ASSEMBLY_OPAQUE)
 
 
 def _parse_try(cur: _Cursor) -> Statement:
-    kw = cur.advance()
+    cur.advance()
     depth = 0
     prev: Token | None = None
     while (t := cur.peek()) is not None:
@@ -492,38 +453,28 @@ def _parse_try(cur: _Cursor) -> Statement:
         prev = cur.advance()
     while cur.match("catch") and _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
-    return Statement(ASSEMBLY_OPAQUE, (kw.start_line, cur.last.end_line))
+    return Statement(ASSEMBLY_OPAQUE)
 
 
 def _parse_jump(cur: _Cursor) -> Statement:
     kw = cur.advance()
     cur.match(";")
-    return Statement(BREAK if kw.text == "break" else CONTINUE, (kw.start_line, kw.end_line))
+    return Statement(BREAK if kw.text == "break" else CONTINUE)
 
 
 def _parse_simple(cur: _Cursor) -> Statement:
     """A pragma, an expression or declaration, an empty statement, or an
     unknown block construct swallowed as opaque."""
-    first = cur.peek()
-    if first.kind == PRAGMA_DIRECTIVE:
+    if cur.peek().kind == PRAGMA_DIRECTIVE:
         cur.advance()
-        return Statement(EXPRESSION, (first.start_line, first.end_line))
+        return Statement(EXPRESSION)
     tokens, opaque = _collect_generic_run(cur)
-    if opaque:
-        return Statement(ASSEMBLY_OPAQUE, (first.start_line, cur.last.end_line))
-    if not tokens:
-        # bare ';', or a stray '}' we must not consume
-        if cur.last.text == ";":
-            return Statement(EXPRESSION, (first.start_line, cur.last.end_line))
-        return Statement(EXPRESSION, (first.start_line, first.start_line))
-    return _finish_generic(tokens, first)
+    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(tokens)
 
 
-def _finish_generic(tokens: list[Token], first: Token) -> Statement:
+def _finish_generic(tokens: list[Token]) -> Statement:
     calls, _, ternaries = _scan_expression(tokens)
-    kind = VARIABLE_DECLARATION if _looks_like_declaration(tokens) else EXPRESSION
-    end = tokens[-1].end_line if tokens else first.end_line
-    return Statement(kind, (first.start_line, end), calls=calls, ternary_ops=ternaries)
+    return Statement(EXPRESSION, calls=calls, ternary_ops=ternaries)
 
 
 # Statements introduced by a keyword or a brace; each text is always one token kind.
@@ -625,7 +576,7 @@ def _typed_items(cur: _Cursor) -> list[tuple[str, str]]:
 
 
 def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
-    intro = cur.advance()  # function/constructor/fallback/receive/modifier
+    cur.advance()  # function/constructor/fallback/receive/modifier
     name: str | None = None
     if kind in ("function", "modifier-def"):
         t = cur.peek()
@@ -655,11 +606,10 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
                 _collect_balanced(cur, "(", ")")
         else:
             cur.advance()
-    return FunctionDef(name, kind, params, body, (intro.start_line, cur.last.end_line), return_types)
+    return FunctionDef(name, kind, params, body, return_types)
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
-    first = cur.peek()
     tokens, opaque = _collect_generic_run(cur)
     if opaque or not tokens:
         return None
@@ -679,7 +629,7 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
     if not name:
         return None
     new_refs = [c.callee_text for c in _scan_expression(rhs)[0] if c.is_new_expression]
-    return StateVarDecl(name, type_text, (first.start_line, cur.last.end_line), new_refs)
+    return StateVarDecl(name, type_text, new_refs)
 
 
 def _parse_type_decl(cur: _Cursor) -> str:
@@ -925,7 +875,6 @@ def parse_file(tokens: list[Token], path: str) -> SourceUnit:
         path=path,
         pragma=pragma,
         contracts=contracts,
-        total_lines=tokens[-1].end_line if tokens else 0,
         lines=lines,
         imports=imports,
         diagnostics=diagnostics,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -88,6 +89,21 @@ def test_manifest_duplicate_key_rejected(tmp_path):
 def test_manifest_bad_header(tmp_path):
     with pytest.raises(CorpusError, match="header"):
         load_manifest(write_manifest(tmp_path, [], header="path;name;label"))
+
+
+def test_manifest_with_utf8_bom(tmp_path):
+    raw = "\ufefffile,contract,label,type\na.sol,Token,neutral,\n".encode("utf-8")
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(raw)
+    m = load_manifest(str(path))
+    assert [(e.file, e.contract, e.label) for e in m.entries] == [("a.sol", "Token", "neutral")]
+    assert m.content_hash == hashlib.sha256(raw).hexdigest()
+
+
+def test_manifest_fields_are_not_csv_quoted(tmp_path):
+    m = load_manifest(write_manifest(tmp_path, ['"a.sol", "Token" ,neutral,']))
+    entry = m.entries[0]
+    assert (entry.file, entry.contract) == ('"a.sol"', '"Token"')
 
 
 def test_manifest_missing_file():
@@ -431,6 +447,18 @@ def test_import_rejects_unparsable_file(tmp_path, fmt, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusError, match=message):
         import_metrics(str(path), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_import_table_with_utf8_bom(make_corpus, tmp_path, fmt):
+    s = _small_set(make_corpus)
+    path = tmp_path / f"metrics.{fmt}"
+    export_metrics(s, str(path), fmt)
+    raw = b"\xef\xbb\xbf" + path.read_bytes()
+    path.write_bytes(raw)
+    again = import_metrics(str(path), fmt)
+    assert again == s
+    assert again.provenance == (str(path), hashlib.sha256(raw).hexdigest())
 
 
 def test_import_deeply_nested_json_names_path(tmp_path):

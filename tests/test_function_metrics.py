@@ -3,6 +3,7 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from solmetrics.metrics import function_metrics
+from solmetrics.nodes import BLOCK, EXPRESSION, IF, FunctionDef, Statement
 from solmetrics.parser import parse_source
 
 
@@ -84,6 +85,15 @@ def test_opaque_statement_counts_one():
 def test_condition_calls_count():
     m = fn_metrics("if (oracle.ready()) { x = 1; }")
     assert m.noi == 1
+
+
+def test_deep_if_chain_does_not_recurse():
+    # built by hand: the parser stops at MAX_NESTING long before this depth
+    stmt = Statement(EXPRESSION)
+    for _ in range(5000):
+        stmt = Statement(IF, [stmt])
+    m = function_metrics(FunctionDef("f", "function", [], Statement(BLOCK, [stmt])))
+    assert (m.mccc, m.nl, m.nle, m.nos) == (5001, 5000, 5000, 5001)
 
 
 _simple = st.sampled_from(["x = 1;", "total += 2;", "return;", "emit Done(x);", "f(x);"])
