@@ -1,5 +1,8 @@
 """Solidity complexity metrics and vulnerability statistics toolkit."""
 
+import importlib
+
+from .config import RunConfig
 from .corpus import (
     CorpusManifest,
     LabeledContractSet,
@@ -27,30 +30,55 @@ from .metrics import (
 )
 from .nodes import ContractDef, FunctionDef, LineCounts, SourceUnit, Statement
 from .parser import line_accounting, parse_file, parse_source
-from .pipeline import (
-    AnalysisReport,
-    RunConfig,
-    rq1_redundancy,
-    rq2_metric_vs_vulnerability,
-    rq3_discriminative,
-    rq4_interval_comparison,
-    run_analysis,
-)
-from .stats import (
-    ConfidenceInterval,
-    CorrelationMatrix,
-    RankedVector,
-    SpearmanResult,
-    TTestResult,
-    correlation_matrix,
-    mean_confidence_interval,
-    paired_t_test,
-    rank,
-    spearman,
-    student_t_cdf,
-    student_t_quantile,
-    welch_t_test,
-)
+
+# The statistics layer loads numpy (and, at its first t-distribution call,
+# scipy); its names resolve at first access, so a command that computes no
+# statistic never imports it.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "AnalysisReport",
+            "rq1_redundancy",
+            "rq2_metric_vs_vulnerability",
+            "rq3_discriminative",
+            "rq4_interval_comparison",
+            "run_analysis",
+        ),
+        "pipeline",
+    ),
+    **dict.fromkeys(
+        (
+            "ConfidenceInterval",
+            "CorrelationMatrix",
+            "RankedVector",
+            "SpearmanResult",
+            "TTestResult",
+            "correlation_matrix",
+            "mean_confidence_interval",
+            "paired_t_test",
+            "rank",
+            "spearman",
+            "student_t_cdf",
+            "student_t_quantile",
+            "welch_t_test",
+        ),
+        "stats",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -10,19 +10,49 @@ import argparse
 import csv
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
+from .config import ANALYSES, RunConfig
 from .corpus import export_metrics, ingest, load_manifest, parse_files
 from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
 from .inheritance import build_inheritance_graph  # noqa: F401
 from .metrics import METRIC_NAMES, contract_metrics  # noqa: F401
-from .pipeline import ANALYSES, RunConfig, run_analysis, run_record, run_section
-from .reports import hash_outputs, write_report, write_run_manifest, write_section
+
+if TYPE_CHECKING:
+    from .pipeline import run_analysis, run_record, run_section
+    from .reports import hash_outputs, write_report, write_run_manifest, write_section
+
+# The analysis commands' functions; they load numpy, so they are bound as
+# module globals only when an analysis command runs or a caller reads one.
+_PIPELINE_NAMES = ("run_analysis", "run_record", "run_section")
+_REPORT_NAMES = ("hash_outputs", "write_report", "write_run_manifest", "write_section")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIAGNOSTICS = 2
+
+
+def _load_analysis() -> None:
+    """Bind the pipeline and report functions as globals of this module.
+
+    A name already bound is kept, so a replacement set on this module (as
+    a tracer does) is the function the commands call.
+    """
+    from . import pipeline, reports
+
+    names = globals()
+    for module, attrs in ((pipeline, _PIPELINE_NAMES), (reports, _REPORT_NAMES)):
+        for attr in attrs:
+            names.setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name: str):
+    if name in _PIPELINE_NAMES or name in _REPORT_NAMES:
+        _load_analysis()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _formats(value: str) -> tuple[str, ...]:
@@ -115,6 +145,7 @@ def _ingest_for(config: RunConfig):
 
 def cmd_analyze(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
+    _load_analysis()
     report = run_analysis(contract_set, config)
     outputs = write_report(report, config.output_dir, config.formats)
     write_run_manifest(config.output_dir, report.config, __version__, outputs)
@@ -123,6 +154,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_single(key: str, config: RunConfig) -> int:
     contract_set = _ingest_for(config)
+    _load_analysis()
     section = run_section(key, contract_set, config)
     written = write_section(key, section, config.output_dir, config.formats)
     outputs = hash_outputs(config.output_dir, written)

@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import CorpusError, LexError
@@ -175,17 +174,21 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
         return _ParsedFile(file, error="not valid UTF-8")
     try:
         tokens = tokenize(source)
+        unit = parse_file(tokens, file)
+        alone = InheritanceGraph()
+        contracts = []
+        for contract in unit.contracts:
+            lines = line_accounting(unit, contract)
+            text = normalized_contract_text(unit, contract)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            metrics = contract_metrics(contract, lines, alone, file)
+            contracts.append(ContractFacts(contract.name, contract.base_names, digest, metrics))
     except LexError as exc:
         return _ParsedFile(file, error=f"lex error: {exc}")
-    unit = parse_file(tokens, file)
-    alone = InheritanceGraph()
-    contracts = []
-    for contract in unit.contracts:
-        lines = line_accounting(unit, contract)
-        text = normalized_contract_text(unit, contract)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        metrics = contract_metrics(contract, lines, alone, file)
-        contracts.append(ContractFacts(contract.name, contract.base_names, digest, metrics))
+    except Exception as exc:
+        # Last resort: a defect that one input trips skips that file, at any
+        # --jobs, instead of aborting the whole run with a traceback.
+        return _ParsedFile(file, error=f"internal error: {type(exc).__name__}: {exc}")
     return _ParsedFile(file, contracts=contracts, diagnostics=[str(d) for d in unit.diagnostics])
 
 
@@ -197,6 +200,9 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
     """
     tasks = [(root, f) for f in files]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a run on one process loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # at least two chunks per worker, so a few large files spread out
         chunksize = max(1, min(16, len(tasks) // (2 * jobs)))
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .inheritance import InheritanceGraph
 from .lexer import KEYWORDS, is_elementary_type
@@ -170,8 +171,12 @@ def function_metrics(fn: FunctionDef) -> FunctionMetrics:
 _WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-def _type_refs(type_text: str) -> set[str]:
-    """Root identifiers of user-defined names inside a type text."""
+@lru_cache(maxsize=4096)
+def _type_refs(type_text: str) -> frozenset[str]:
+    """Root identifiers of user-defined names inside a type text.
+
+    Cached: a corpus repeats a few type texts in every contract.
+    """
     refs: set[str] = set()
     prev_dot = False
     for piece in type_text.split():
@@ -183,7 +188,7 @@ def _type_refs(type_text: str) -> set[str]:
             if _WORD_RE.fullmatch(root) and root not in KEYWORDS and not is_elementary_type(root):
                 refs.add(root)
         prev_dot = False
-    return refs
+    return frozenset(refs)
 
 
 def _coupled_names(contract: ContractDef) -> set[str]:
@@ -199,22 +204,11 @@ def _coupled_names(contract: ContractDef) -> set[str]:
             refs |= _type_refs(param.type_text)
         for ret in fn.return_types:
             refs |= _type_refs(ret)
-        for call in _iter_calls(fn):
-            if call.is_new_expression:
-                refs.add(call.callee_text.split(".")[0])
+        for new_ref in fn.new_refs:
+            refs.add(new_ref.split(".")[0])
     refs.discard(contract.name)
     refs.discard("")
     return refs
-
-
-def _iter_calls(fn: FunctionDef):
-    if fn.body is None:
-        return
-    stack = [fn.body]
-    while stack:
-        stmt = stack.pop()
-        yield from stmt.calls
-        stack.extend(stmt.children)
 
 
 def contract_metrics(

@@ -40,7 +40,6 @@ class CallSite:
 
     callee_text: str
     is_builtin_guard: bool = False
-    is_new_expression: bool = False
 
 
 @dataclass
@@ -73,6 +72,7 @@ class FunctionDef:
     params: list[Param]
     body: Statement | None
     return_types: list[str] = field(default_factory=list)
+    new_refs: list[str] = field(default_factory=list)  # `new X(...)` in the body
 
     @property
     def counts_as_function(self) -> bool:

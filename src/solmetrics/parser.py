@@ -87,8 +87,10 @@ _STORAGE_KEYWORDS = frozenset(
 class _Cursor:
     """Forward-only view over the comment-free token stream.
 
-    ``depth`` counts the statements being parsed inside one another and
-    ``item_line`` is the first line of the top-level item being parsed.
+    ``depth`` counts the statements being parsed inside one another,
+    ``item_line`` is the first line of the top-level item being parsed, and
+    ``new_refs`` collects the type of each ``new`` expression in the body of
+    the function being parsed.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -96,6 +98,7 @@ class _Cursor:
         self.i = 0
         self.depth = 0
         self.item_line = 1
+        self.new_refs: list[str] = []
 
     def peek(self, k: int = 0) -> Token | None:
         j = self.i + k
@@ -207,8 +210,9 @@ def _path_end(tokens: list[Token], i: int) -> tuple[str, int]:
     return ".".join(parts), j
 
 
-def _scan_expression(tokens: list[Token]) -> tuple[list[CallSite], int, int]:
-    """Extract call sites, logical-and/or count and ternary count from a run."""
+def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[list[CallSite], int, int]:
+    """Extract call sites, logical-and/or count and ternary count from a run;
+    the type of each ``new`` expression is also appended to ``new_refs``."""
     calls: list[CallSite] = []
     logical = 0
     ternaries = 0
@@ -225,7 +229,8 @@ def _scan_expression(tokens: list[Token]) -> tuple[list[CallSite], int, int]:
         elif t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
             path, i = _path_end(tokens, i + 1)
             if i < n and tokens[i].text == "(":
-                calls.append(CallSite(path, is_new_expression=True))
+                calls.append(CallSite(path))
+                new_refs.append(path)
         elif t.kind == IDENTIFIER:
             path, i = _path_end(tokens, i)
             k = i
@@ -315,14 +320,14 @@ def _parse_block(cur: _Cursor) -> Statement:
 def _generic_after(cur: _Cursor, kw: Token) -> Statement:
     """A keyword statement missing its opener, parsed as a generic statement."""
     rest, _ = _collect_generic_run(cur)
-    return _finish_generic([kw] + rest)
+    return _finish_generic(cur, [kw] + rest)
 
 
 def _parse_if(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    calls, logical, ternaries = _scan_expression(_paren_inner(cur))
+    calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     children = [_parse_statement(cur)]
     has_else = cur.match("else") is not None
     if has_else:
@@ -343,8 +348,8 @@ def _parse_for(cur: _Cursor) -> Statement:
         return _generic_after(cur, kw)
     header = _paren_inner(cur)
     clauses = _split_top(header, ";")
-    calls, _, ternaries = _scan_expression(header)
-    logical = _scan_expression(clauses[1])[1] if len(clauses) > 1 else 0
+    calls, _, ternaries = _scan_expression(header, cur.new_refs)
+    logical = _scan_expression(clauses[1], [])[1] if len(clauses) > 1 else 0
     body = _parse_statement(cur)
     return Statement(
         FOR,
@@ -359,7 +364,7 @@ def _parse_while(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    calls, logical, ternaries = _scan_expression(_paren_inner(cur))
+    calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     body = _parse_statement(cur)
     return Statement(
         WHILE,
@@ -376,7 +381,7 @@ def _parse_do_while(cur: _Cursor) -> Statement:
     calls: list[CallSite] = []
     logical = ternaries = 0
     if cur.match("while") and cur.check("("):
-        calls, logical, ternaries = _scan_expression(_paren_inner(cur))
+        calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     cur.match(";")
     return Statement(
         DO_WHILE,
@@ -390,7 +395,7 @@ def _parse_do_while(cur: _Cursor) -> Statement:
 def _parse_return(cur: _Cursor) -> Statement:
     cur.advance()
     expr, _ = _collect_generic_run(cur)
-    calls, _, ternaries = _scan_expression(expr)
+    calls, _, ternaries = _scan_expression(expr, cur.new_refs)
     return Statement(RETURN, calls=calls, ternary_ops=ternaries)
 
 
@@ -410,7 +415,7 @@ def _parse_named_call(cur: _Cursor) -> Statement:
         cur.skip_path()
     ternaries = 0
     if cur.check("("):
-        inner_calls, _, ternaries = _scan_expression(_paren_inner(cur))
+        inner_calls, _, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
         calls.extend(inner_calls)
     cur.match(";")
     return Statement(kind, calls=calls, ternary_ops=ternaries)
@@ -469,11 +474,11 @@ def _parse_simple(cur: _Cursor) -> Statement:
         cur.advance()
         return Statement(EXPRESSION)
     tokens, opaque = _collect_generic_run(cur)
-    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(tokens)
+    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(cur, tokens)
 
 
-def _finish_generic(tokens: list[Token]) -> Statement:
-    calls, _, ternaries = _scan_expression(tokens)
+def _finish_generic(cur: _Cursor, tokens: list[Token]) -> Statement:
+    calls, _, ternaries = _scan_expression(tokens, cur.new_refs)
     return Statement(EXPRESSION, calls=calls, ternary_ops=ternaries)
 
 
@@ -587,6 +592,7 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
         params = [Param(pname, ptype) for ptype, pname in _typed_items(cur)]
     return_types: list[str] = []
     body: Statement | None = None
+    new_refs = cur.new_refs = []
     while (t := cur.peek()) is not None:
         if t.text == "{":
             body = _parse_block(cur)
@@ -606,7 +612,7 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
                 _collect_balanced(cur, "(", ")")
         else:
             cur.advance()
-    return FunctionDef(name, kind, params, body, return_types)
+    return FunctionDef(name, kind, params, body, return_types, new_refs)
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
@@ -628,7 +634,8 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
     type_text, name = _split_typed_item(lhs)
     if not name:
         return None
-    new_refs = [c.callee_text for c in _scan_expression(rhs)[0] if c.is_new_expression]
+    new_refs: list[str] = []
+    _scan_expression(rhs, new_refs)
     return StateVarDecl(name, type_text, new_refs)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ANALYSES, RunConfig
 from .corpus import LABEL_VULNERABLE, LabeledContractSet
 from .errors import DegenerateInputError, InputError
 from .metrics import METRIC_NAMES
@@ -36,32 +37,6 @@ GROUP_NEUTRAL = "neutral"
 HIGHER_IN_VULNERABLE = "higher-in-vulnerable"
 HIGHER_IN_NEUTRAL = "higher-in-neutral"
 OVERLAPPING = "overlapping"
-
-
-@dataclass
-class RunConfig:
-    source_root: str = ""
-    manifest: str = ""
-    output_dir: str = ""
-    seed: int = 42
-    ci_level: float = 0.95
-    redundancy_threshold: float = 0.9
-    significance: float = 0.05
-    formats: tuple[str, ...] = ("csv", "json", "md")
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ci_level < 1.0:
-            raise InputError("ci_level must lie strictly between 0 and 1")
-        if not 0.0 < self.significance < 1.0:
-            raise InputError("significance must lie strictly between 0 and 1")
-        if not 0.0 < self.redundancy_threshold <= 1.0:
-            raise InputError("redundancy_threshold must lie in (0, 1]")
-        if self.jobs < 1:
-            raise InputError("jobs must be at least 1")
-        unknown = set(self.formats) - {"csv", "json", "md"}
-        if unknown:
-            raise InputError(f"unknown formats: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -271,9 +246,6 @@ def rq4_interval_comparison(
             direction = OVERLAPPING
         rows.append(Rq4Row(name, vuln_ci, neut_ci, direction))
     return Rq4Section(tuple(rows), level)
-
-
-ANALYSES = ("rq1", "rq2", "rq3", "rq4")
 
 
 def run_section(

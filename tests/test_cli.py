@@ -8,6 +8,7 @@ import os
 import pytest
 
 from conftest import NESTING_SHAPES, nested_source
+from solmetrics import corpus
 from solmetrics.cli import main
 from solmetrics.parser import MAX_NESTING
 
@@ -93,6 +94,27 @@ def test_metrics_missing_file_diagnostic(tmp_path, capsys):
     code, out, err = run_cli(capsys, "metrics", str(good), str(tmp_path / "gone.sol"), "--jobs", "1")
     assert code == 2
     assert "gone.sol" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_metrics_internal_error_skips_the_file(tmp_path, capsys, monkeypatch, jobs):
+    real_parse_file = corpus.parse_file
+
+    def parse_file(tokens, path):
+        if path.endswith("bad.sol"):
+            raise RuntimeError("boom")
+        return real_parse_file(tokens, path)
+
+    # worker processes are forked, so they see the replacement too
+    monkeypatch.setattr(corpus, "parse_file", parse_file)
+    paths = []
+    for name, text in (("bad.sol", GOOD), ("ok.sol", VULN)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    code, out, err = run_cli(capsys, "metrics", *paths, "--jobs", jobs)
+    assert code == 2
+    assert err.splitlines() == [f"{paths[0]}:1: internal error: RuntimeError: boom"]
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["V"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,0 +1,181 @@
+"""Cold start: what each entry point loads, and the module surface it keeps.
+
+``metrics`` and ``export`` compute no statistic, so neither they nor a bare
+``import solmetrics`` / ``import solmetrics.cli`` may load numpy, the
+statistics layer or a process pool. Each check runs in a fresh interpreter,
+since this test process has long since loaded all of them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import solmetrics
+from golden_corpus import GOLDEN
+from solmetrics import cli, corpus
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(solmetrics.__file__)))
+
+STATISTICS_MODULES = (
+    "numpy",
+    "scipy",
+    "solmetrics.pipeline",
+    "solmetrics.stats",
+    "solmetrics.reports",
+    "concurrent.futures",
+    "multiprocessing",
+)
+
+# Runs the given statement, then prints which of the modules are loaded.
+_PROBE = """
+import json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.argv[1:] if m in sys.modules)))
+"""
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.fixture
+def golden_corpus(tmp_path):
+    """Every golden snippet as one file; every third contract is vulnerable."""
+    root = tmp_path / "src"
+    root.mkdir()
+    lines = ["file,contract,label,type"]
+    keys = []
+    for name, (source, expected) in sorted(GOLDEN.items()):
+        (root / f"{name}.sol").write_text(source, encoding="utf-8")
+        keys.extend((f"{name}.sol", contract) for contract in sorted(expected))
+    for i, (file, contract) in enumerate(keys):
+        label = "vulnerable,RE" if i % 3 == 0 else "neutral,"
+        lines.append(f"{file},{contract},{label}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(manifest), str(root), tmp_path
+
+
+def _cli_statement(argv: list[str]) -> str:
+    return (
+        "import contextlib, io\n"
+        "from solmetrics.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "assert rc == 0, rc\n"
+    )
+
+
+IMPORTS = {"package": "import solmetrics", "cli": "import solmetrics.cli"}
+
+
+@pytest.mark.parametrize("entry", ["package", "cli", "metrics", "export"])
+def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
+    manifest, root, tmp = golden_corpus
+    if entry == "metrics":
+        files = sorted(os.path.join(root, f) for f in os.listdir(root))
+        statement = _cli_statement(["metrics", *files, "--jobs", "1"])
+    elif entry == "export":
+        argv = ["export", "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
+        statement = _cli_statement(argv + ["--format", "csv,json", "--jobs", "1"])
+    else:
+        statement = IMPORTS[entry]
+    result = run_python(_PROBE.format(statement=statement), *STATISTICS_MODULES)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+    if entry == "export":
+        assert sorted(os.listdir(tmp / "out")) == ["metrics.csv", "metrics.json"]
+
+
+def _read_tree(path) -> dict[str, bytes]:
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_analyze_in_fresh_interpreter_matches_in_process(golden_corpus, capsys):
+    manifest, root, tmp = golden_corpus
+    flags = ["--manifest", manifest, "--root", root, "--jobs", "1", "--seed", "3"]
+    fresh = run_python(
+        "import sys\nfrom solmetrics.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "analyze", *flags, "--out", str(tmp / "fresh"),
+    )
+    assert cli.main(["analyze", *flags, "--out", str(tmp / "loaded")]) == fresh.returncode
+    assert capsys.readouterr().err == fresh.stderr
+    assert fresh.returncode in (0, 2), fresh.stderr
+    assert _read_tree(tmp / "fresh") == _read_tree(tmp / "loaded")
+
+
+def test_package_surface_resolves_lazily():
+    code = (
+        "import sys, solmetrics\n"
+        "assert 'numpy' not in sys.modules\n"
+        "listed = set(dir(solmetrics))\n"
+        "missing = [n for n in solmetrics.__all__ if n not in listed]\n"
+        "assert not missing, missing\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in solmetrics.__all__:\n"
+        "    getattr(solmetrics, name)\n"
+        "namespace = {}\n"
+        "exec('from solmetrics import *', namespace)\n"
+        "unbound = [n for n in solmetrics.__all__ if n not in namespace]\n"
+        "assert not unbound, unbound\n"
+        "assert namespace['rank'] is solmetrics.stats.rank\n"
+        "assert namespace['run_analysis'] is solmetrics.pipeline.run_analysis\n"
+        "print('ok')\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        solmetrics.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
+
+
+# The names perfbench/trace_child.py wraps on ``cli``, each with the command
+# that calls it through ``cli``.
+CLI_HOOKS = {
+    "load_manifest": "analyze",
+    "ingest": "analyze",
+    "run_analysis": "analyze",
+    "write_report": "analyze",
+    "write_run_manifest": "analyze",
+    "parse_files": "metrics",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_HOOKS))
+def test_replacement_set_on_cli_is_what_the_command_calls(name, golden_corpus, monkeypatch, capsys):
+    manifest, root, tmp = golden_corpus
+    original = getattr(cli, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    if CLI_HOOKS[name] == "analyze":
+        argv = ["analyze", "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
+    else:
+        argv = ["metrics", *sorted(os.path.join(root, f) for f in os.listdir(root))]
+    assert cli.main(argv + ["--jobs", "1"]) in (0, 2)
+    capsys.readouterr()
+    assert calls == [name]
+
+
+def test_frontend_hooks_stay_on_cli():
+    # ingest calls these through corpus; a tracer wraps them on both modules
+    assert cli.build_inheritance_graph is corpus.build_inheritance_graph
+    assert cli.contract_metrics is corpus.contract_metrics

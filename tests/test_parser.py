@@ -274,8 +274,8 @@ def test_call_sites_and_guards():
         ("check", False),
     ]
     assert stmts[1].calls[0].callee_text == "token.transfer"
-    new_call = stmts[2].calls[0]
-    assert new_call.callee_text == "Vault" and new_call.is_new_expression
+    assert [c.callee_text for c in stmts[2].calls] == ["Vault"]
+    assert parse_source(src).contracts[0].functions[0].new_refs == ["Vault"]
 
 
 def test_cast_is_not_a_call():

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-import solmetrics
 from solmetrics.errors import DegenerateInputError, InputError
 from solmetrics.stats import (
     correlation_matrix,
@@ -264,17 +260,6 @@ def test_ci_errors():
 
 # ---------------------------------------------------------------------------
 # student t
-
-
-def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(solmetrics.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, solmetrics.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
 
 
 def test_t_cdf_value_unchanged_by_deferred_import():
