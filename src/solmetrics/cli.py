@@ -13,7 +13,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import ANALYSES, RunConfig
+from .config import ANALYSES, RunConfig, check_jobs
 from .corpus import export_metrics, ingest, load_manifest, parse_files
 from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_metrics(paths: list[str], jobs: int) -> int:
+    check_jobs(jobs)
     diagnostics: list[str] = []
     rows = []
     for pf in parse_files("", list(paths), jobs):

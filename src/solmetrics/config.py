@@ -13,6 +13,12 @@ from .errors import InputError
 ANALYSES = ("rq1", "rq2", "rq3", "rq4")
 
 
+def check_jobs(jobs: int) -> None:
+    """Reject a ``--jobs`` value below one, for every command."""
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
+
+
 @dataclass
 class RunConfig:
     source_root: str = ""
@@ -32,8 +38,7 @@ class RunConfig:
             raise InputError("significance must lie strictly between 0 and 1")
         if not 0.0 < self.redundancy_threshold <= 1.0:
             raise InputError("redundancy_threshold must lie in (0, 1]")
-        if self.jobs < 1:
-            raise InputError("jobs must be at least 1")
+        check_jobs(self.jobs)
         unknown = set(self.formats) - {"csv", "json", "md"}
         if unknown:
             raise InputError(f"unknown formats: {sorted(unknown)}")

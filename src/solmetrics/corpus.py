@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import CorpusError, LexError
 from .inheritance import InheritanceGraph, build_inheritance_graph
@@ -199,13 +199,15 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
     DIT, NOA and NOD. Raises :class:`CorpusError` on an inheritance cycle.
     """
     tasks = [(root, f) for f in files]
-    if jobs > 1 and len(tasks) > 1:
+    # no more workers than files or CPUs, whatever --jobs asks for
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a run on one process loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # at least two chunks per worker, so a few large files spread out
-        chunksize = max(1, min(16, len(tasks) // (2 * jobs)))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        chunksize = max(1, min(16, len(tasks) // (2 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parsed = list(pool.map(_parse_sol_file, tasks, chunksize=chunksize))
     else:
         parsed = [_parse_sol_file(t) for t in tasks]
@@ -277,7 +279,8 @@ def ingest(
 
 EXPORT_HEADER = ("file", "contract") + METRIC_NAMES + ("label", "type")
 
-_INT_METRICS = METRIC_NAMES[:15]
+# Each metric's value type, as its ContractMetrics field declares it.
+_METRIC_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(ContractMetrics)}
 
 
 def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv") -> str:
@@ -330,10 +333,7 @@ def _imported_row(
     _check_label(row, label, vuln_type)
     try:
         metrics = ContractMetrics(
-            **{
-                name: int(values[name]) if name in _INT_METRICS else float(values[name])
-                for name in METRIC_NAMES
-            }
+            **{name: cast(values[name]) for name, cast in _METRIC_TYPES.items()}
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"{row}: bad metric value ({exc!r})") from exc

@@ -17,53 +17,32 @@ class InheritanceGraph:
     A base name resolves to a contract in the same file first, then to a
     corpus-wide unique name. Anything else lands in ``unresolved_bases``
     and still contributes one terminal ancestor to DIT/NOA. The builder
-    also indexes the unresolved names by contract key, so a query reads
-    one contract's unresolved bases with a dict lookup instead of a scan
-    of the corpus-wide set.
+    records every contract's DIT, NOA and NOD, so a query is one lookup
+    and an unknown key reads 0.
     """
 
     nodes: set[ContractKey] = field(default_factory=set)
     edges: set[tuple[ContractKey, ContractKey]] = field(default_factory=set)
     unresolved_bases: set[tuple[ContractKey, str]] = field(default_factory=set)
-    _bases: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
-    _derived: dict[ContractKey, list[ContractKey]] = field(default_factory=dict, repr=False)
-    _unresolved: dict[ContractKey, set[str]] = field(default_factory=dict, repr=False)
     _dit: dict[ContractKey, int] = field(default_factory=dict, repr=False)
+    _noa: dict[ContractKey, int] = field(default_factory=dict, repr=False)
+    _nod: dict[ContractKey, int] = field(default_factory=dict, repr=False)
 
     def dit(self, key: ContractKey) -> int:
-        """Longest ancestor path; an unresolved base is a path of length 1.
-
-        The builder's cycle check records it for every contract."""
+        """Longest ancestor path; an unresolved base is a path of length 1."""
         return self._dit.get(key, 0)
 
-    def ancestors(self, key: ContractKey) -> set[ContractKey]:
-        return self._reachable(key, self._bases)
-
-    def descendants(self, key: ContractKey) -> set[ContractKey]:
-        return self._reachable(key, self._derived)
-
     def noa(self, key: ContractKey) -> int:
-        return len(self.ancestors(key)) + len(self._unresolved.get(key, ()))
+        """Resolved ancestors plus the contract's own unresolved base names."""
+        return self._noa.get(key, 0)
 
     def nod(self, key: ContractKey) -> int:
-        return len(self.descendants(key))
-
-    def _reachable(
-        self, key: ContractKey, adjacency: dict[ContractKey, list[ContractKey]]
-    ) -> set[ContractKey]:
-        seen: set[ContractKey] = set()
-        stack = list(adjacency.get(key, ()))
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            stack.extend(adjacency.get(k, ()))
-        return seen
+        """Contracts that have this one among their resolved ancestors."""
+        return self._nod.get(key, 0)
 
 
 def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
-    """Resolve every base name across a parsed corpus.
+    """Resolve every base name across a parsed corpus and measure the tree.
 
     Reads only each unit's ``path`` and its contracts' ``name`` and
     ``base_names``, so per-file metric facts serve as well as parse trees.
@@ -78,6 +57,8 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
             key = (unit.path, contract.name)
             graph.nodes.add(key)
             by_name.setdefault(contract.name, []).append(key)
+    bases_of: dict[ContractKey, list[ContractKey]] = {}
+    unresolved: dict[ContractKey, set[str]] = {}
     for unit in corpus:
         for contract in unit.contracts:
             key = (unit.path, contract.name)
@@ -92,16 +73,30 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
                     bases.append(candidates[0])
                 else:
                     graph.unresolved_bases.add((key, base_name))
-                    graph._unresolved.setdefault(key, set()).add(base_name)
-            graph._bases[key] = bases
-            for base in bases:
-                graph.edges.add((key, base))
-                graph._derived.setdefault(base, []).append(key)
-    _check_acyclic(graph)
+                    unresolved.setdefault(key, set()).add(base_name)
+            bases_of[key] = bases
+            graph.edges.update((key, base) for base in bases)
+    _check_acyclic(graph, bases_of, unresolved)
+    graph._nod = dict.fromkeys(graph.nodes, 0)
+    for key in graph.nodes:
+        # one walk over the resolved ancestors; the set is dropped after it
+        seen: set[ContractKey] = set()
+        stack = list(bases_of[key])
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                graph._nod[k] += 1
+                stack.extend(bases_of[k])
+        graph._noa[key] = len(seen) + len(unresolved.get(key, ()))
     return graph
 
 
-def _check_acyclic(graph: InheritanceGraph) -> None:
+def _check_acyclic(
+    graph: InheritanceGraph,
+    bases_of: dict[ContractKey, list[ContractKey]],
+    unresolved: dict[ContractKey, set[str]],
+) -> None:
     """Post-order DFS over the base edges with an explicit stack. It records
     each contract's DIT when it finishes the contract, after all its bases;
     a base still on the path is a cycle."""
@@ -117,7 +112,7 @@ def _check_acyclic(graph: InheritanceGraph) -> None:
             if idx == 0:
                 color[node] = GRAY
                 path.append(node)
-            bases = graph._bases.get(node, [])
+            bases = bases_of[node]
             if idx < len(bases):
                 stack.append((node, idx + 1))
                 nxt = bases[idx]
@@ -130,5 +125,5 @@ def _check_acyclic(graph: InheritanceGraph) -> None:
             else:
                 color[node] = BLACK
                 path.pop()
-                best = 1 if node in graph._unresolved else 0
+                best = 1 if node in unresolved else 0
                 graph._dit[node] = max([best] + [1 + graph._dit[b] for b in bases])

@@ -24,30 +24,6 @@ from .nodes import (
     LineCounts,
 )
 
-METRIC_NAMES: tuple[str, ...] = (
-    "sloc",
-    "lloc",
-    "cloc",
-    "nf",
-    "wmc",
-    "nl",
-    "nle",
-    "numpar",
-    "nos",
-    "dit",
-    "noa",
-    "nod",
-    "cbo",
-    "na",
-    "noi",
-    "avg_mccc",
-    "avg_nl",
-    "avg_nle",
-    "avg_numpar",
-    "avg_nos",
-    "avg_noi",
-)
-
 DISPLAY_NAMES: dict[str, str] = {
     "sloc": "SLOC",
     "lloc": "LLOC",
@@ -117,6 +93,10 @@ class ContractMetrics:
     def as_cells(self) -> list[str]:
         """The values as table cells; a float's repr reads back exactly."""
         return [repr(v) if isinstance(v, float) else str(v) for v in self.as_row()]
+
+
+# The field order is the column order of every metric table.
+METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(ContractMetrics))
 
 
 def function_metrics(fn: FunctionDef) -> FunctionMetrics:

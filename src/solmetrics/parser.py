@@ -619,18 +619,8 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
     tokens, opaque = _collect_generic_run(cur)
     if opaque or not tokens:
         return None
-    eq_index = None
-    depth = 0
-    for idx, t in enumerate(tokens):
-        if t.text in "([{":
-            depth += 1
-        elif t.text in ")]}":
-            depth -= 1
-        elif t.text == "=" and depth == 0:
-            eq_index = idx
-            break
-    lhs = tokens if eq_index is None else tokens[:eq_index]
-    rhs = [] if eq_index is None else tokens[eq_index + 1 :]
+    lhs = _split_top(tokens, "=")[0]
+    rhs = tokens[len(lhs) + 1 :]
     type_text, name = _split_typed_item(lhs)
     if not name:
         return None

@@ -317,6 +317,16 @@ def test_analyze_bad_manifest_exit_1(tmp_path, capsys):
     assert "maybe" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_metrics_and_analyze_reject_jobs_below_one(corpus_dir, capsys, jobs):
+    manifest, root, out = corpus_dir
+    metrics = run_cli(capsys, "metrics", os.path.join(root, "n0.sol"), "--jobs", jobs)
+    analyze = run_cli(
+        capsys, "analyze", "--manifest", manifest, "--root", root, "--out", out, "--jobs", jobs
+    )
+    assert metrics == analyze == (1, "", "jobs must be at least 1\n")
+
+
 @pytest.mark.parametrize("key", ["rq1", "rq2", "rq3", "rq4"])
 def test_single_runner_writes_only_its_files(corpus_dir, tmp_path, capsys, key):
     manifest, root, _ = corpus_dir

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import metrics_for
 from golden_corpus import GOLDEN
-from solmetrics.metrics import METRIC_NAMES
+from solmetrics.metrics import DISPLAY_NAMES, METRIC_NAMES
 
 
 def test_empty_contract_vector_is_zero_except_lines():
@@ -14,6 +14,11 @@ def test_empty_contract_vector_is_zero_except_lines():
         if name in ("sloc", "lloc"):
             continue
         assert getattr(m, name) == 0
+
+
+
+def test_display_names_follow_the_metric_fields():
+    assert tuple(DISPLAY_NAMES) == METRIC_NAMES
 
 
 def test_nine_line_spec_contract():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -275,6 +276,39 @@ def test_parse_files_inheritance_metrics_follow_the_corpus_graph(tmp_path):
     }
     assert got == {key: (graph.dit(key), graph.noa(key), graph.nod(key)) for key in graph.nodes}
     assert got[("leaves.sol", "C")] == (3, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, sizes",
+    [(5000, 2, [2]), (3, 8, [3]), (8, 8, [4]), (5000, None, []), (1, 8, [])],
+)
+def test_parse_files_workers_capped_by_cpus_and_files(tmp_path, monkeypatch, jobs, cpus, sizes):
+    files = [f"f{i}.sol" for i in range(4)]
+    for i, file in enumerate(files):
+        (tmp_path / file).write_text(f"contract C{i} {{}}", encoding="utf-8")
+    made = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    parsed = parse_files(str(tmp_path), files, jobs)
+    assert made == sizes
+    assert [pf.path for pf in parsed] == files
+    assert all(pf.error is None and len(pf.contracts) == 1 for pf in parsed)
 
 
 _GOLDEN_SOURCES = [source for source, _ in GOLDEN.values()]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solmetrics.errors import CorpusError
 from solmetrics.inheritance import build_inheritance_graph
@@ -96,3 +97,77 @@ def test_deep_chain_does_not_recurse():
     assert g.dit(leaf) == depth - 1
     assert g.noa(leaf) == depth - 1
     assert g.nod(root) == depth - 1
+
+
+_NAMES = ("C0", "C1", "C2", "C3", "C4")
+
+
+@st.composite
+def _corpus(draw) -> dict[str, list[tuple[str, list[str]]]]:
+    """Up to 8 contracts over up to 3 files, as file -> [(name, base names)].
+
+    A contract named ``Ci`` takes its bases from the names before it and
+    from the undefined names X and Y. Resolution then meets diamonds, names
+    defined in two files and unresolved bases, but never a cycle.
+    """
+    files: dict[str, list[tuple[str, list[str]]]] = {
+        f"f{i}.sol": [] for i in range(draw(st.integers(1, 3)))
+    }
+    for _ in range(draw(st.integers(1, 8))):
+        contracts = files[draw(st.sampled_from(sorted(files)))]
+        taken = {name for name, _ in contracts}
+        free = [i for i, name in enumerate(_NAMES) if name not in taken]
+        if free:
+            i = draw(st.sampled_from(free))
+            bases = draw(st.lists(st.sampled_from(_NAMES[:i] + ("X", "Y")), max_size=3))
+            contracts.append((_NAMES[i], bases))
+    return files
+
+
+def _brute_force(graph) -> dict:
+    """DIT, NOA and NOD of every node, from ``edges`` and ``unresolved_bases``
+    alone: every path is enumerated, every ancestor set is built afresh."""
+    bases = {k: {b for d, b in graph.edges if d == k} for k in graph.nodes}
+    own = {k: {n for d, n in graph.unresolved_bases if d == k} for k in graph.nodes}
+
+    def depth(k):
+        return max([1 if own[k] else 0] + [1 + depth(b) for b in bases[k]])
+
+    def ancestors(k):
+        return set().union(*({b} | ancestors(b) for b in bases[k]))
+
+    anc = {k: ancestors(k) for k in graph.nodes}
+    return {
+        k: (depth(k), len(anc[k]) + len(own[k]), sum(k in anc[j] for j in graph.nodes))
+        for k in graph.nodes
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corpus())
+def test_tree_metrics_match_brute_force(files):
+    units = [
+        parse_source(
+            "\n".join(f"contract {n}{' is ' + ', '.join(b) if b else ''} {{}}" for n, b in cs),
+            file,
+        )
+        for file, cs in files.items()
+    ]
+    g = build_inheritance_graph(units)
+    defined = {(file, name) for file, cs in files.items() for name, _ in cs}
+    edges, unresolved = set(), set()
+    for file, cs in files.items():
+        for name, bases in cs:
+            for base in bases:
+                homes = [k for k in defined if k == (file, base)] or [
+                    k for k in defined if k[1] == base
+                ]
+                if len(homes) == 1:
+                    edges.add(((file, name), homes[0]))
+                else:
+                    unresolved.add(((file, name), base))
+    assert (g.nodes, g.edges, g.unresolved_bases) == (defined, edges, unresolved)
+    got = {k: (g.dit(k), g.noa(k), g.nod(k)) for k in g.nodes}
+    assert got == _brute_force(g)
+    unknown = ("nowhere.sol", "C0")
+    assert (g.dit(unknown), g.noa(unknown), g.nod(unknown)) == (0, 0, 0)
