@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -104,7 +105,8 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
     check_jobs(jobs)
     diagnostics: list[str] = []
     rows = []
-    for pf in parse_files("", list(paths), jobs):
+    # a repeated path would measure its contracts twice and make their names ambiguous
+    for pf in parse_files("", list(dict.fromkeys(paths)), jobs):
         if pf.error is not None:
             diagnostics.append(f"{pf.path}:1: {pf.error}")
         diagnostics.extend(pf.diagnostics)
@@ -144,12 +146,23 @@ def _ingest_for(config: RunConfig):
     return contract_set
 
 
+@contextmanager
+def _writing_to(outdir: str):
+    """Turn a failed write under ``--out`` into a :class:`CorpusError` naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or outdir
+        raise CorpusError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
+
+
 def cmd_analyze(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
     _load_analysis()
     report = run_analysis(contract_set, config)
-    outputs = write_report(report, config.output_dir, config.formats)
-    write_run_manifest(config.output_dir, report.config, __version__, outputs)
+    with _writing_to(config.output_dir):
+        outputs = write_report(report, config.output_dir, config.formats)
+        write_run_manifest(config.output_dir, report.config, __version__, outputs)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 
@@ -157,18 +170,20 @@ def cmd_single(key: str, config: RunConfig) -> int:
     contract_set = _ingest_for(config)
     _load_analysis()
     section = run_section(key, contract_set, config)
-    written = write_section(key, section, config.output_dir, config.formats)
-    outputs = hash_outputs(config.output_dir, written)
-    write_run_manifest(config.output_dir, run_record(contract_set, config), __version__, outputs)
+    with _writing_to(config.output_dir):
+        written = write_section(key, section, config.output_dir, config.formats)
+        outputs = hash_outputs(config.output_dir, written)
+        write_run_manifest(config.output_dir, run_record(contract_set, config), __version__, outputs)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 
 def cmd_export(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
-    os.makedirs(config.output_dir, exist_ok=True)
     formats = [f for f in config.formats if f in ("csv", "json")] or ["csv"]
-    for fmt in formats:
-        export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)
+    with _writing_to(config.output_dir):
+        os.makedirs(config.output_dir, exist_ok=True)
+        for fmt in formats:
+            export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 

@@ -344,7 +344,8 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
     """Read a table produced by :func:`export_metrics` back into a set.
 
     Rows are validated like manifest rows; a short row, a bad metric value
-    or a bad label raises :class:`CorpusError` naming the row, and a JSON
+    or a bad label raises :class:`CorpusError` naming the row. In JSON a
+    metric must be a number, and an integer metric a JSON integer. A JSON
     document that nests too deeply or has no ``rows`` list raises one
     naming the file.
     """
@@ -389,6 +390,14 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
                     f"{row}: expected string file, contract and label, a metrics object"
                     " and a string or null type"
                 )
+            for name, value in item["metrics"].items():
+                kind = _METRIC_TYPES.get(name)
+                # bool is an int subclass; an int is also a valid float metric
+                if kind is not None and (
+                    isinstance(value, bool) or not isinstance(value, (int, kind))
+                ):
+                    expected = "an integer" if kind is int else "a number"
+                    raise CorpusError(f"{row}: metric {name!r} must be {expected}, got {value!r}")
             rows.append(
                 _imported_row(
                     row,

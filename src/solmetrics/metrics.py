@@ -118,7 +118,7 @@ def function_metrics(fn: FunctionDef) -> FunctionMetrics:
             nos += 1
         decisions += stmt.ternary_ops
         logical += stmt.condition_ops
-        noi += sum(1 for c in stmt.calls if not c.is_builtin_guard)
+        noi += stmt.invocations
         if stmt.kind == IF:
             decisions += 1
             max_nl = max(max_nl, nl + 1)

@@ -2,8 +2,8 @@
 
 The tree keeps only what the metric definitions consume: declarations,
 parameter lists, and for each statement its kind, children, operator
-counts and call sites. Anything outside the subset is swallowed as an
-opaque statement. A contract's ``span`` (inclusive 1-based lines) is the
+counts and invocation count. Anything outside the subset is swallowed as
+an opaque statement. A contract's ``span`` (inclusive 1-based lines) is the
 only line range kept; line accounting and dedupe read it.
 """
 
@@ -34,21 +34,14 @@ LOOP_KINDS = frozenset({FOR, WHILE, DO_WHILE})
 NON_COUNTING_KINDS = frozenset({BLOCK, UNCHECKED_BLOCK})
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """One outgoing invocation, recorded as written in the source."""
-
-    callee_text: str
-    is_builtin_guard: bool = False
-
-
 @dataclass
 class Statement:
     kind: str
     children: list["Statement"] = field(default_factory=list)
     condition_ops: int = 0
     ternary_ops: int = 0
-    calls: list[CallSite] = field(default_factory=list)
+    # calls other than the require/assert/revert guards
+    invocations: int = 0
     # if-statements only: the last child is the else branch
     has_else: bool = False
 

@@ -37,7 +37,6 @@ from .nodes import (
     RETURN,
     UNCHECKED_BLOCK,
     WHILE,
-    CallSite,
     ContractDef,
     Diagnostic,
     FunctionDef,
@@ -210,12 +209,11 @@ def _path_end(tokens: list[Token], i: int) -> tuple[str, int]:
     return ".".join(parts), j
 
 
-def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[list[CallSite], int, int]:
-    """Extract call sites, logical-and/or count and ternary count from a run;
-    the type of each ``new`` expression is also appended to ``new_refs``."""
-    calls: list[CallSite] = []
-    logical = 0
-    ternaries = 0
+def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[int, int, int]:
+    """Count a run's invocations (the require/assert/revert guards aside),
+    logical-and/or operators and ternaries; the type of each ``new``
+    expression is also appended to ``new_refs``."""
+    invocations = logical = ternaries = 0
     i = 0
     n = len(tokens)
     while i < n:
@@ -229,7 +227,7 @@ def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[list[Cal
         elif t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
             path, i = _path_end(tokens, i + 1)
             if i < n and tokens[i].text == "(":
-                calls.append(CallSite(path))
+                invocations += 1
                 new_refs.append(path)
         elif t.kind == IDENTIFIER:
             path, i = _path_end(tokens, i)
@@ -237,11 +235,11 @@ def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[list[Cal
             if k < n and tokens[k].text == "{":
                 # call options: path{value: ...}(args)
                 k = _group_end(tokens, k, "{", "}") or n
-            if k < n and tokens[k].text == "(":
-                calls.append(CallSite(path, is_builtin_guard=path in _GUARD_NAMES))
+            if k < n and tokens[k].text == "(" and path not in _GUARD_NAMES:
+                invocations += 1
         else:
             i += 1
-    return calls, logical, ternaries
+    return invocations, logical, ternaries
 
 
 def _collect_generic_run(cur: _Cursor) -> tuple[list[Token], bool]:
@@ -323,21 +321,22 @@ def _generic_after(cur: _Cursor, kw: Token) -> Statement:
     return _finish_generic(cur, [kw] + rest)
 
 
-def _parse_if(cur: _Cursor) -> Statement:
+def _parse_conditional(cur: _Cursor) -> Statement:
+    """`if (...) S [else S]` or `while (...) S`."""
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
+    invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     children = [_parse_statement(cur)]
-    has_else = cur.match("else") is not None
+    has_else = kw.text == "if" and cur.match("else") is not None
     if has_else:
         children.append(_parse_statement(cur))
     return Statement(
-        IF,
+        IF if kw.text == "if" else WHILE,
         children,
         condition_ops=logical,
         ternary_ops=ternaries,
-        calls=calls,
+        invocations=invocations,
         has_else=has_else,
     )
 
@@ -348,77 +347,47 @@ def _parse_for(cur: _Cursor) -> Statement:
         return _generic_after(cur, kw)
     header = _paren_inner(cur)
     clauses = _split_top(header, ";")
-    calls, _, ternaries = _scan_expression(header, cur.new_refs)
+    invocations, _, ternaries = _scan_expression(header, cur.new_refs)
     logical = _scan_expression(clauses[1], [])[1] if len(clauses) > 1 else 0
-    body = _parse_statement(cur)
-    return Statement(
-        FOR,
-        [body],
-        condition_ops=logical,
-        ternary_ops=ternaries,
-        calls=calls,
-    )
-
-
-def _parse_while(cur: _Cursor) -> Statement:
-    kw = cur.advance()
-    if not cur.check("("):
-        return _generic_after(cur, kw)
-    calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
-    body = _parse_statement(cur)
-    return Statement(
-        WHILE,
-        [body],
-        condition_ops=logical,
-        ternary_ops=ternaries,
-        calls=calls,
-    )
+    return Statement(FOR, [_parse_statement(cur)], logical, ternaries, invocations)
 
 
 def _parse_do_while(cur: _Cursor) -> Statement:
     cur.advance()
     body = _parse_statement(cur)
-    calls: list[CallSite] = []
-    logical = ternaries = 0
+    invocations = logical = ternaries = 0
     if cur.match("while") and cur.check("("):
-        calls, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
+        invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     cur.match(";")
-    return Statement(
-        DO_WHILE,
-        [body],
-        condition_ops=logical,
-        ternary_ops=ternaries,
-        calls=calls,
-    )
+    return Statement(DO_WHILE, [body], logical, ternaries, invocations)
 
 
 def _parse_return(cur: _Cursor) -> Statement:
     cur.advance()
     expr, _ = _collect_generic_run(cur)
-    calls, _, ternaries = _scan_expression(expr, cur.new_refs)
-    return Statement(RETURN, calls=calls, ternary_ops=ternaries)
+    invocations, _, ternaries = _scan_expression(expr, cur.new_refs)
+    return Statement(RETURN, ternary_ops=ternaries, invocations=invocations)
 
 
 def _parse_named_call(cur: _Cursor) -> Statement:
     """`emit E(...)` or a `require`/`assert`/`revert` guard.
 
-    The guard counts as a (builtin-guard) call; an event or custom error
-    name does not, only the argument expressions carry invocations.
+    Neither the guard nor an event or custom error name is an invocation;
+    only the argument expressions carry invocations.
     """
     kw = cur.advance()
-    if kw.text == "emit":
-        kind, calls = EMIT, []
-    else:
-        kind, calls = REQUIRE_LIKE, [CallSite(kw.text, is_builtin_guard=True)]
     t = cur.peek()
     if kw.text in ("emit", "revert") and t is not None and t.kind == IDENTIFIER:
         cur.skip_path()
-    ternaries = 0
+    invocations = ternaries = 0
     if cur.check("("):
-        inner_calls, _, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
-        calls.extend(inner_calls)
+        invocations, _, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
     cur.match(";")
-    return Statement(kind, calls=calls, ternary_ops=ternaries)
+    return Statement(
+        EMIT if kw.text == "emit" else REQUIRE_LIKE,
+        ternary_ops=ternaries,
+        invocations=invocations,
+    )
 
 
 def _parse_unchecked(cur: _Cursor) -> Statement:
@@ -478,16 +447,16 @@ def _parse_simple(cur: _Cursor) -> Statement:
 
 
 def _finish_generic(cur: _Cursor, tokens: list[Token]) -> Statement:
-    calls, _, ternaries = _scan_expression(tokens, cur.new_refs)
-    return Statement(EXPRESSION, calls=calls, ternary_ops=ternaries)
+    invocations, _, ternaries = _scan_expression(tokens, cur.new_refs)
+    return Statement(EXPRESSION, ternary_ops=ternaries, invocations=invocations)
 
 
 # Statements introduced by a keyword or a brace; each text is always one token kind.
 _STATEMENT_PARSERS = {
     "{": _parse_block,
-    "if": _parse_if,
+    "if": _parse_conditional,
     "for": _parse_for,
-    "while": _parse_while,
+    "while": _parse_conditional,
     "do": _parse_do_while,
     "return": _parse_return,
     "emit": _parse_named_call,

@@ -224,6 +224,27 @@ def test_metrics_output_jobs_invariant(cross_file_dir, capsys):
     assert serial == parallel
 
 
+def test_metrics_repeated_path_is_measured_once(cross_file_dir, capsys):
+    once = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "1")
+    twice = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "child.sol", "base.sol", "--jobs", "1")
+    assert twice == once
+
+
+@pytest.mark.parametrize("command", ["analyze", "rq2", "export"])
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+def test_unwritable_out_is_a_one_line_error(corpus_dir, tmp_path, capsys, command, where):
+    manifest, root, _ = corpus_dir
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker if where == "existing-file" else blocker / "reports")
+    code, stdout, err = run_cli(
+        capsys, command, "--manifest", manifest, "--root", root, "--out", out, "--jobs", "1"
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"cannot write output {out!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_analyze_writes_reports(corpus_dir, capsys):
     manifest, root, out = corpus_dir
     code, _, err = run_cli(

@@ -436,18 +436,45 @@ def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
         ("label", "bogus", r"rows\[1\]: unknown label"),
         ("type", "RE", r"rows\[1\]: type tag only allowed"),
         ("metrics", {"sloc": 1}, r"rows\[1\]: bad metric value"),
+        ("sloc", 3.7, r"rows\[1\]: metric 'sloc' must be an integer, got 3\.7"),
+        ("nf", True, r"rows\[1\]: metric 'nf' must be an integer, got True"),
+        ("sloc", "12", r"rows\[1\]: metric 'sloc' must be an integer, got '12'"),
+        ("avg_nl", False, r"rows\[1\]: metric 'avg_nl' must be a number, got False"),
+        ("avg_nl", "0.5", r"rows\[1\]: metric 'avg_nl' must be a number, got '0\.5'"),
+        ("avg_nl", None, r"rows\[1\]: metric 'avg_nl' must be a number, got None"),
     ],
-    ids=["unknown-label", "type-on-neutral", "missing-metric"],
+    ids=[
+        "unknown-label",
+        "type-on-neutral",
+        "missing-metric",
+        "float-for-int",
+        "bool-for-int",
+        "string-for-int",
+        "bool-for-float",
+        "string-for-float",
+        "null-for-float",
+    ],
 )
 def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, message):
     path = str(tmp_path / "metrics.json")
     export_metrics(_small_set(make_corpus), path, "json")
     payload = json.load(open(path, encoding="utf-8"))
-    payload["rows"][1][field] = value
+    row = payload["rows"][1]
+    (row["metrics"] if field in row["metrics"] else row)[field] = value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     with pytest.raises(CorpusError, match=message):
         import_metrics(path, "json")
+
+
+def test_import_json_takes_an_integer_for_a_float_metric(make_corpus, tmp_path):
+    path = str(tmp_path / "metrics.json")
+    export_metrics(_small_set(make_corpus), path, "json")
+    payload = json.load(open(path, encoding="utf-8"))
+    payload["rows"][1]["metrics"]["avg_nl"] = 2
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert import_metrics(path, "json").rows[1].metrics.avg_nl == 2.0
 
 
 @pytest.mark.parametrize(

@@ -264,29 +264,29 @@ def test_ternary_ops_counted():
 def test_call_sites_and_guards():
     src = """contract A { function f() public {
         require(check(x), "m");
+        assert(ok);
         token.transfer(to, 1);
         y = new Vault(x);
     } }"""
     stmts = statements_of(src)
-    req = stmts[0]
-    assert [(c.callee_text, c.is_builtin_guard) for c in req.calls] == [
-        ("require", True),
-        ("check", False),
-    ]
-    assert stmts[1].calls[0].callee_text == "token.transfer"
-    assert [c.callee_text for c in stmts[2].calls] == ["Vault"]
+    # the guard is not an invocation, a call nested in its arguments is
+    assert stmts[0].invocations == 1
+    assert stmts[1].invocations == 0
+    # a dotted path is one invocation
+    assert stmts[2].invocations == 1
+    # `new X(...)` is an invocation, and X is a new-reference
+    assert stmts[3].invocations == 1
     assert parse_source(src).contracts[0].functions[0].new_refs == ["Vault"]
 
 
 def test_cast_is_not_a_call():
     src = "contract A { function f() public { x = uint(y) + address(this).balance; } }"
-    assert statements_of(src)[0].calls == []
+    assert statements_of(src)[0].invocations == 0
 
 
 def test_call_options_braces():
     src = 'contract A { function f() public { target.call{value: 1}(""); } }'
-    stmts = statements_of(src)
-    assert [c.callee_text for c in stmts[0].calls] == ["target.call"]
+    assert statements_of(src)[0].invocations == 1
 
 
 def test_revert_without_parens():
@@ -298,13 +298,24 @@ def test_revert_custom_error():
     src = "contract A { function f() public { revert NotAllowed(msg.sender); } }"
     stmts = statements_of(src)
     assert stmts[0].kind == REQUIRE_LIKE
-    assert [c.callee_text for c in stmts[0].calls] == ["revert"]
+    assert stmts[0].invocations == 0
 
 
 def test_emit_event_name_not_an_invocation():
     src = "contract A { function f() public { emit Done(compute(x)); } }"
-    stmts = statements_of(src)
-    assert [c.callee_text for c in stmts[0].calls] == ["compute"]
+    assert statements_of(src)[0].invocations == 1
+
+
+def test_loop_header_invocations():
+    src = """contract A { function f() public {
+        for (uint i = start(); i < size(); i = next(i)) {}
+        do { x = 1; } while (more(x));
+        while (ready()) {}
+    } }"""
+    loop, do_while, while_loop = statements_of(src)
+    assert (loop.invocations, do_while.invocations, while_loop.invocations) == (3, 1, 1)
+    # the loop bodies hold no call
+    assert [s.invocations for s in loop.children + do_while.children] == [0, 0]
 
 
 def test_file_level_items_skipped():
