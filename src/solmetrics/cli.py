@@ -105,8 +105,12 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
     check_jobs(jobs)
     diagnostics: list[str] = []
     rows = []
-    # a repeated path would measure its contracts twice and make their names ambiguous
-    for pf in parse_files("", list(dict.fromkeys(paths)), jobs):
+    # A file named twice (b.sol, ./b.sol) would measure its contracts twice and
+    # make their names ambiguous; it is measured once, under its first spelling.
+    files: dict[str, str] = {}
+    for path in paths:
+        files.setdefault(os.path.normpath(path), path)
+    for pf in parse_files("", list(files.values()), jobs):
         if pf.error is not None:
             diagnostics.append(f"{pf.path}:1: {pf.error}")
         diagnostics.extend(pf.diagnostics)
@@ -156,6 +160,29 @@ def _writing_to(outdir: str):
         raise CorpusError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _output_dir(outdir: str):
+    """Create ``--out`` before any source is read, so a path that cannot
+    hold the outputs fails at once. If the command then fails, the
+    directories made here are removed again while they are empty."""
+    made = []
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    with _writing_to(outdir):
+        os.makedirs(outdir, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
 def cmd_analyze(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
     _load_analysis()
@@ -181,7 +208,6 @@ def cmd_export(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
     formats = [f for f in config.formats if f in ("csv", "json")] or ["csv"]
     with _writing_to(config.output_dir):
-        os.makedirs(config.output_dir, exist_ok=True)
         for fmt in formats:
             export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
@@ -194,12 +220,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "metrics":
             return cmd_metrics(args.paths, args.jobs)
         config = _config_from_args(args)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command in ANALYSES:
-            return cmd_single(args.command, config)
-        if args.command == "export":
-            return cmd_export(config)
+        with _output_dir(config.output_dir):
+            if args.command == "analyze":
+                return cmd_analyze(config)
+            if args.command in ANALYSES:
+                return cmd_single(args.command, config)
+            if args.command == "export":
+                return cmd_export(config)
     except (CorpusError, InputError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR

@@ -38,12 +38,6 @@ KEYWORDS = frozenset(
 # Sized elementary types (uint256, bytes32, fixed128x18, ...) are keywords too.
 _SIZED_TYPE_RE = re.compile(r"^(?:u?int(?:\d+)?|bytes(?:\d+)?|u?fixed(?:\d+x\d+)?)$")
 
-ELEMENTARY_TYPE_WORDS = frozenset({"address", "bool", "string", "bytes", "byte", "var"})
-
-
-def is_elementary_type(text: str) -> bool:
-    return text in ELEMENTARY_TYPE_WORDS or bool(_SIZED_TYPE_RE.match(text))
-
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 # Any character no alternative below claims is a one-character punctuation

@@ -8,12 +8,9 @@ counts, plus six per-function averages.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 from .inheritance import InheritanceGraph
-from .lexer import KEYWORDS, is_elementary_type
 from .nodes import (
     BLOCK,
     IF,
@@ -148,49 +145,6 @@ def function_metrics(fn: FunctionDef) -> FunctionMetrics:
     )
 
 
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-
-
-@lru_cache(maxsize=4096)
-def _type_refs(type_text: str) -> frozenset[str]:
-    """Root identifiers of user-defined names inside a type text.
-
-    Cached: a corpus repeats a few type texts in every contract.
-    """
-    refs: set[str] = set()
-    prev_dot = False
-    for piece in type_text.split():
-        if piece == ".":
-            prev_dot = True
-            continue
-        if not prev_dot:
-            root = piece.split(".")[0]
-            if _WORD_RE.fullmatch(root) and root not in KEYWORDS and not is_elementary_type(root):
-                refs.add(root)
-        prev_dot = False
-    return frozenset(refs)
-
-
-def _coupled_names(contract: ContractDef) -> set[str]:
-    refs: set[str] = set()
-    for base in contract.base_names:
-        refs.add(base.split(".")[0])
-    for var in contract.state_vars:
-        refs |= _type_refs(var.type_text)
-        for new_ref in var.new_refs:
-            refs.add(new_ref.split(".")[0])
-    for fn in contract.functions:
-        for param in fn.params:
-            refs |= _type_refs(param.type_text)
-        for ret in fn.return_types:
-            refs |= _type_refs(ret)
-        for new_ref in fn.new_refs:
-            refs.add(new_ref.split(".")[0])
-    refs.discard(contract.name)
-    refs.discard("")
-    return refs
-
-
 def contract_metrics(
     contract: ContractDef,
     lines: LineCounts,
@@ -239,7 +193,7 @@ def contract_metrics(
         dit=dit,
         noa=noa,
         nod=nod,
-        cbo=len(_coupled_names(contract)),
+        cbo=len(contract.type_refs - {contract.name}),
         na=len(contract.state_vars),
         noi=noi,
         avg_mccc=avg(mccc_total),

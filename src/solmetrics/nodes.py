@@ -55,7 +55,6 @@ class Statement:
 @dataclass(frozen=True)
 class Param:
     name: str
-    type_text: str
 
 
 @dataclass
@@ -64,8 +63,6 @@ class FunctionDef:
     kind: str  # function | constructor | fallback | receive | modifier-def
     params: list[Param]
     body: Statement | None
-    return_types: list[str] = field(default_factory=list)
-    new_refs: list[str] = field(default_factory=list)  # `new X(...)` in the body
 
     @property
     def counts_as_function(self) -> bool:
@@ -75,8 +72,6 @@ class FunctionDef:
 @dataclass
 class StateVarDecl:
     name: str
-    type_text: str
-    new_refs: list[str] = field(default_factory=list)  # `new X(...)` in initializer
 
 
 @dataclass
@@ -90,6 +85,10 @@ class ContractDef:
     events: list[str] = field(default_factory=list)
     structs: list[str] = field(default_factory=list)
     enums: list[str] = field(default_factory=list)
+    # The names CBO counts: the first name of each base and of each `new X(`
+    # target, and every identifier of a state-variable, parameter or return
+    # type that does not follow a '.'.
+    type_refs: set[str] = field(default_factory=set)
 
     @property
     def declaration_count(self) -> int:

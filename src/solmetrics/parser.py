@@ -88,8 +88,8 @@ class _Cursor:
 
     ``depth`` counts the statements being parsed inside one another,
     ``item_line`` is the first line of the top-level item being parsed, and
-    ``new_refs`` collects the type of each ``new`` expression in the body of
-    the function being parsed.
+    ``type_refs`` is the :attr:`ContractDef.type_refs` of the contract being
+    parsed.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -97,7 +97,7 @@ class _Cursor:
         self.i = 0
         self.depth = 0
         self.item_line = 1
-        self.new_refs: list[str] = []
+        self.type_refs: set[str] = set()
 
     def peek(self, k: int = 0) -> Token | None:
         j = self.i + k
@@ -209,10 +209,10 @@ def _path_end(tokens: list[Token], i: int) -> tuple[str, int]:
     return ".".join(parts), j
 
 
-def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[int, int, int]:
+def _scan_expression(tokens: list[Token], refs: set[str]) -> tuple[int, int, int]:
     """Count a run's invocations (the require/assert/revert guards aside),
-    logical-and/or operators and ternaries; the type of each ``new``
-    expression is also appended to ``new_refs``."""
+    logical-and/or operators and ternaries; the first name of each ``new``
+    expression's type is added to ``refs``."""
     invocations = logical = ternaries = 0
     i = 0
     n = len(tokens)
@@ -225,10 +225,11 @@ def _scan_expression(tokens: list[Token], new_refs: list[str]) -> tuple[int, int
                 ternaries += 1
             i += 1
         elif t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
-            path, i = _path_end(tokens, i + 1)
+            name = tokens[i + 1].text
+            i = _path_end(tokens, i + 1)[1]
             if i < n and tokens[i].text == "(":
                 invocations += 1
-                new_refs.append(path)
+                refs.add(name)
         elif t.kind == IDENTIFIER:
             path, i = _path_end(tokens, i)
             k = i
@@ -326,7 +327,7 @@ def _parse_conditional(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
+    invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
     children = [_parse_statement(cur)]
     has_else = kw.text == "if" and cur.match("else") is not None
     if has_else:
@@ -347,8 +348,8 @@ def _parse_for(cur: _Cursor) -> Statement:
         return _generic_after(cur, kw)
     header = _paren_inner(cur)
     clauses = _split_top(header, ";")
-    invocations, _, ternaries = _scan_expression(header, cur.new_refs)
-    logical = _scan_expression(clauses[1], [])[1] if len(clauses) > 1 else 0
+    invocations, _, ternaries = _scan_expression(header, cur.type_refs)
+    logical = _scan_expression(clauses[1], set())[1] if len(clauses) > 1 else 0
     return Statement(FOR, [_parse_statement(cur)], logical, ternaries, invocations)
 
 
@@ -357,7 +358,7 @@ def _parse_do_while(cur: _Cursor) -> Statement:
     body = _parse_statement(cur)
     invocations = logical = ternaries = 0
     if cur.match("while") and cur.check("("):
-        invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
+        invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
     cur.match(";")
     return Statement(DO_WHILE, [body], logical, ternaries, invocations)
 
@@ -365,7 +366,7 @@ def _parse_do_while(cur: _Cursor) -> Statement:
 def _parse_return(cur: _Cursor) -> Statement:
     cur.advance()
     expr, _ = _collect_generic_run(cur)
-    invocations, _, ternaries = _scan_expression(expr, cur.new_refs)
+    invocations, _, ternaries = _scan_expression(expr, cur.type_refs)
     return Statement(RETURN, ternary_ops=ternaries, invocations=invocations)
 
 
@@ -381,7 +382,7 @@ def _parse_named_call(cur: _Cursor) -> Statement:
         cur.skip_path()
     invocations = ternaries = 0
     if cur.check("("):
-        invocations, _, ternaries = _scan_expression(_paren_inner(cur), cur.new_refs)
+        invocations, _, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
     cur.match(";")
     return Statement(
         EMIT if kw.text == "emit" else REQUIRE_LIKE,
@@ -447,7 +448,7 @@ def _parse_simple(cur: _Cursor) -> Statement:
 
 
 def _finish_generic(cur: _Cursor, tokens: list[Token]) -> Statement:
-    invocations, _, ternaries = _scan_expression(tokens, cur.new_refs)
+    invocations, _, ternaries = _scan_expression(tokens, cur.type_refs)
     return Statement(EXPRESSION, ternary_ops=ternaries, invocations=invocations)
 
 
@@ -489,64 +490,60 @@ def _parse_statement(cur: _Cursor) -> Statement:
 # declarations
 
 
-def _split_typed_item(tokens: list[Token]) -> tuple[str, str]:
-    """Split a parameter/state-var fragment into (type text, name)."""
-    if not tokens:
-        return "", ""
-    type_parts: list[str] = []
-    i = 0
+def _split_typed_item(tokens: list[Token]) -> tuple[int, str]:
+    """Where the type of a parameter/state-var fragment ends, and the name
+    after it ('' if there is none)."""
+    if not tokens or tokens[0].kind not in (KEYWORD, IDENTIFIER):
+        return 0, ""
     n = len(tokens)
-    t0 = tokens[i]
-    if t0.kind == KEYWORD and t0.text == "mapping":
-        type_parts.append(t0.text)
-        i += 1
-        i = _append_group(tokens, i, "(", ")", type_parts)
-    elif t0.kind == KEYWORD and t0.text == "function":
-        type_parts.append(t0.text)
-        i += 1
-        i = _append_group(tokens, i, "(", ")", type_parts)
-        while i < n and tokens[i].kind == KEYWORD and tokens[i].text != "returns":
-            type_parts.append(tokens[i].text)
-            i += 1
-        if i < n and tokens[i].text == "returns":
-            type_parts.append(tokens[i].text)
-            i += 1
-            i = _append_group(tokens, i, "(", ")", type_parts)
-    elif t0.kind == KEYWORD:
-        type_parts.append(t0.text)
-        i += 1
-    elif t0.kind == IDENTIFIER:
-        path, i = _path_end(tokens, 0)
-        type_parts.append(path)
+    t0 = tokens[0]
+    if t0.kind == IDENTIFIER:
+        i = _path_end(tokens, 0)[1]
+    elif t0.text in ("mapping", "function"):
+        i = _skip_group(tokens, 1, "(", ")")
+        if t0.text == "function":
+            while i < n and tokens[i].kind == KEYWORD and tokens[i].text != "returns":
+                i += 1
+            if i < n and tokens[i].text == "returns":
+                i = _skip_group(tokens, i + 1, "(", ")")
     else:
-        return "", ""
+        i = 1
     while i < n and tokens[i].text == "[":
-        i = _append_group(tokens, i, "[", "]", type_parts)
+        i = _skip_group(tokens, i, "[", "]")
+    type_end = i
     while i < n and tokens[i].kind == KEYWORD and tokens[i].text in _STORAGE_KEYWORDS:
-        if tokens[i].text == "override" and i + 1 < n and tokens[i + 1].text == "(":
-            i += 1
-            i = _append_group(tokens, i, "(", ")", [])
-        else:
-            i += 1
-    name = ""
-    if i < n and tokens[i].kind == IDENTIFIER:
-        name = tokens[i].text
-    return " ".join(type_parts), name
+        i = _skip_group(tokens, i + 1, "(", ")") if tokens[i].text == "override" else i + 1
+    name = tokens[i].text if i < n and tokens[i].kind == IDENTIFIER else ""
+    return type_end, name
 
 
-def _append_group(tokens: list[Token], i: int, open_text: str, close_text: str, out: list[str]) -> int:
-    """Append the texts of the group opened at ``tokens[i]`` (to the end of
-    the run if it never closes); returns the index past it."""
+def _skip_group(tokens: list[Token], i: int, open_text: str, close_text: str) -> int:
+    """Index past the group opened at ``tokens[i]`` (the end of the run if it
+    never closes); ``i`` itself if no group opens there."""
     if i >= len(tokens) or tokens[i].text != open_text:
         return i
-    end = _group_end(tokens, i, open_text, close_text) or len(tokens)
-    out.extend(t.text for t in tokens[i:end])
-    return end
+    return _group_end(tokens, i, open_text, close_text) or len(tokens)
 
 
-def _typed_items(cur: _Cursor) -> list[tuple[str, str]]:
-    """(type text, name) of each item in a parenthesized parameter list."""
-    return [_split_typed_item(group) for group in _split_top(_paren_inner(cur), ",") if group]
+def _add_type_refs(type_tokens: list[Token], refs: set[str]) -> None:
+    """Add each identifier of a type that does not follow a '.' to ``refs``."""
+    prev = ""
+    for t in type_tokens:
+        if t.kind == IDENTIFIER and prev != ".":
+            refs.add(t.text)
+        prev = t.text
+
+
+def _typed_items(cur: _Cursor) -> list[str]:
+    """The name of each item in a parenthesized parameter list; the names
+    its types use are added to the contract's ``type_refs``."""
+    names = []
+    for group in _split_top(_paren_inner(cur), ","):
+        if group:
+            type_end, name = _split_typed_item(group)
+            _add_type_refs(group[:type_end], cur.type_refs)
+            names.append(name)
+    return names
 
 
 def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
@@ -558,10 +555,8 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
             name = cur.advance().text
     params: list[Param] = []
     if cur.check("("):
-        params = [Param(pname, ptype) for ptype, pname in _typed_items(cur)]
-    return_types: list[str] = []
+        params = [Param(name) for name in _typed_items(cur)]
     body: Statement | None = None
-    new_refs = cur.new_refs = []
     while (t := cur.peek()) is not None:
         if t.text == "{":
             body = _parse_block(cur)
@@ -574,14 +569,14 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
         if t.kind == KEYWORD and t.text == "returns":
             cur.advance()
             if cur.check("("):
-                return_types.extend(type_text for type_text, _ in _typed_items(cur))
+                _typed_items(cur)
         elif t.kind == IDENTIFIER:
             cur.skip_path()  # modifier invocation (or base constructor call)
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
         else:
             cur.advance()
-    return FunctionDef(name, kind, params, body, return_types, new_refs)
+    return FunctionDef(name, kind, params, body)
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
@@ -590,12 +585,12 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
         return None
     lhs = _split_top(tokens, "=")[0]
     rhs = tokens[len(lhs) + 1 :]
-    type_text, name = _split_typed_item(lhs)
+    type_end, name = _split_typed_item(lhs)
     if not name:
         return None
-    new_refs: list[str] = []
-    _scan_expression(rhs, new_refs)
-    return StateVarDecl(name, type_text, new_refs)
+    _add_type_refs(lhs[:type_end], cur.type_refs)
+    _scan_expression(rhs, cur.type_refs)
+    return StateVarDecl(name)
 
 
 def _parse_type_decl(cur: _Cursor) -> str:
@@ -622,8 +617,10 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
         raise ParseError(f"missing name in {kind_tok.text} header", cur.line())
     cur.advance()
     base_names: list[str] = []
+    type_refs = cur.type_refs = set()
     if cur.match("is"):
         while (t := cur.peek()) is not None and t.kind == IDENTIFIER:
+            type_refs.add(t.text)
             base_names.append(cur.skip_path())
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
@@ -639,6 +636,7 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
         state_vars=[],
         functions=[],
         span=(start.start_line, opener.end_line),
+        type_refs=type_refs,
     )
     while not cur.check("}"):
         if cur.at_end:

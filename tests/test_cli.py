@@ -8,7 +8,7 @@ import os
 import pytest
 
 from conftest import NESTING_SHAPES, nested_source
-from solmetrics import corpus
+from solmetrics import cli, corpus
 from solmetrics.cli import main
 from solmetrics.parser import MAX_NESTING
 
@@ -228,6 +228,46 @@ def test_metrics_repeated_path_is_measured_once(cross_file_dir, capsys):
     once = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "1")
     twice = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "child.sol", "base.sol", "--jobs", "1")
     assert twice == once
+
+
+def test_metrics_path_spellings_of_one_file_are_measured_once(cross_file_dir, capsys):
+    once = run_cli(capsys, "metrics", "base.sol", "child.sol", "--jobs", "1")
+    respelled = run_cli(capsys, "metrics", "base.sol", "child.sol", "./base.sol", "--jobs", "1")
+    assert respelled == once
+    nod = once[1].splitlines()[0].split(",").index("nod")
+    assert [row.split(",")[nod] for row in once[1].splitlines()[1:]] == ["1", "0"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "rq1", "export"])
+def test_unwritable_out_fails_before_the_corpus_is_read(
+    corpus_dir, tmp_path, capsys, monkeypatch, command
+):
+    manifest, root, _ = corpus_dir
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli, "ingest", no_ingest)
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    code, stdout, err = run_cli(
+        capsys, command, "--manifest", manifest, "--root", root, "--out", str(out)
+    )
+    assert (code, stdout, err) == (1, "", f"cannot write output {str(out)!r}: File exists\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "rq3", "export"])
+def test_failed_ingest_leaves_no_new_out_directory(tmp_path, capsys, command):
+    (tmp_path / "bad.sol").write_text("contract {", encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("file,contract,label,type\nbad.sol,A,neutral,\n", encoding="utf-8")
+    out = tmp_path / "new" / "reports"
+    code, stdout, _ = run_cli(
+        capsys, command, "--manifest", str(manifest), "--root", str(tmp_path),
+        "--out", str(out), "--jobs", "1",
+    )
+    assert (code, stdout) == (1, "")
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "rq2", "export"])

@@ -5,6 +5,7 @@ import pytest
 from conftest import metrics_for
 from golden_corpus import GOLDEN
 from solmetrics.metrics import DISPLAY_NAMES, METRIC_NAMES
+from solmetrics.parser import parse_source
 
 
 def test_empty_contract_vector_is_zero_except_lines():
@@ -139,3 +140,21 @@ def test_cbo_counts_distinct_names_once():
     }"""
     m = metrics_for(src)["T"]
     assert m.cbo == 3  # Token, Vault, Oracle
+
+
+def test_cbo_counts_identifier_tokens_of_types():
+    src = """contract T is Base, Lib.Parent(1) {
+        Lib.Entry Store;
+        mapping(address => Lib.Entry) entries;
+        uint256 public override(A, B) Total;
+        T self;
+        function f(Lib.Entry Item) public returns (uint Count) { Vault v = new Vault(); }
+    }
+    contract C { uint[" Foo "] x; mapping(bool => uint[true ? 1 : 2]) y; }"""
+    unit = parse_source(src)
+    # declared names, override(...) lists and members after '.' are not refs
+    assert unit.contracts[0].type_refs == {"Base", "Lib", "T", "Vault"}
+    m = metrics_for(src)
+    assert m["T"].cbo == 3  # Base, Lib, Vault; not the contract itself
+    # words inside a literal and `true` are not names
+    assert m["C"].cbo == 0

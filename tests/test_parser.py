@@ -172,15 +172,15 @@ def test_function_kinds_and_params():
         fallback() external {}
         receive() external payable {}
         modifier guarded() { _; }
-        function act(address to, uint256 amount) public returns (bool ok) {}
+        function act(address to, uint256 amount, Lib.Entry e) public returns (bool ok, Vault) {}
     }"""
     unit = parse_source(src)
     fns = unit.contracts[0].functions
     assert [f.kind for f in fns] == ["constructor", "fallback", "receive", "modifier-def", "function"]
     act = fns[-1]
-    assert [p.name for p in act.params] == ["to", "amount"]
-    assert [p.type_text for p in act.params] == ["address", "uint256"]
-    assert act.return_types == ["bool"]
+    assert [p.name for p in act.params] == ["to", "amount", "e"]
+    # elementary types are keywords; a name after '.' is a member, not a contract
+    assert unit.contracts[0].type_refs == {"Lib", "Vault"}
 
 
 def test_unnamed_interface_params():
@@ -274,9 +274,9 @@ def test_call_sites_and_guards():
     assert stmts[1].invocations == 0
     # a dotted path is one invocation
     assert stmts[2].invocations == 1
-    # `new X(...)` is an invocation, and X is a new-reference
+    # `new X(...)` is an invocation, and X is a name the contract refers to
     assert stmts[3].invocations == 1
-    assert parse_source(src).contracts[0].functions[0].new_refs == ["Vault"]
+    assert parse_source(src).contracts[0].type_refs == {"Vault"}
 
 
 def test_cast_is_not_a_call():
