@@ -118,14 +118,17 @@ class TokenIndex:
 
     ``code_upto[n]`` and ``comment_upto[n]`` count the lines 1..n touched by
     a code token and by a comment token, so the count over any line span is
-    one subtraction. ``code`` lists the code tokens in stream order; their
-    start and end lines never decrease, so the code tokens lying inside a
-    line span are one contiguous slice.
+    one subtraction. ``code`` lists the code tokens in stream order, and
+    ``code_starts``/``code_ends`` their start and end lines. Neither list
+    decreases, so the code tokens lying inside a line span are one
+    contiguous slice, found by bisecting the two.
     """
 
     code_upto: list[int]
     comment_upto: list[int]
     code: list[Token]
+    code_starts: list[int]
+    code_ends: list[int]
 
 
 @dataclass

@@ -762,23 +762,36 @@ def _skip_toplevel_item(cur: _Cursor) -> None:
 def _split_comments(tokens: list[Token]) -> TokenIndex:
     """The file's code tokens and per-line code/comment flags, in one pass.
 
-    The flags are sized by the largest end line, not the last token's, so
-    any token list, ordered or not, indexes without raising.
+    The flags are sized by the last token's end line, the largest one in
+    stream order as :func:`tokenize` returns it. A hand-built list out of
+    that order grows them as it goes, so it still indexes without raising.
     """
-    n_lines = max((t.span[2] for t in tokens), default=0)
+    n_lines = tokens[-1].span[2] if tokens else 0
     code_lines = bytearray(n_lines + 1)
     comment_lines = bytearray(n_lines + 1)
     code: list[Token] = []
+    code_starts: list[int] = []
+    code_ends: list[int] = []
     for t in tokens:
         first, _, last, _ = t.span
+        if last > n_lines:
+            code_lines.extend(bytes(last - n_lines))
+            comment_lines.extend(bytes(last - n_lines))
+            n_lines = last
         if t.kind in COMMENT_KINDS:
             flags = comment_lines
         else:
             flags = code_lines
             code.append(t)
-        for line in range(first, last + 1):
-            flags[line] = 1
-    return TokenIndex(list(accumulate(code_lines)), list(accumulate(comment_lines)), code)
+            code_starts.append(first)
+            code_ends.append(last)
+        if first == last:
+            flags[first] = 1
+        else:
+            flags[first : last + 1] = b"\x01" * (last + 1 - first)
+    return TokenIndex(
+        list(accumulate(code_lines)), list(accumulate(comment_lines)), code, code_starts, code_ends
+    )
 
 
 def parse_file(tokens: list[Token], path: str) -> SourceUnit:
@@ -885,7 +898,7 @@ def normalized_contract_text(unit: SourceUnit, contract: ContractDef) -> str:
     the unit's :class:`TokenIndex`.
     """
     first, last = contract.span
-    code = unit.lines.code
-    lo = bisect_left(code, first, key=lambda t: t.span[0])
-    hi = bisect_right(code, last, key=lambda t: t.span[2])
-    return " ".join([t.text for t in code[lo:hi]])
+    lines = unit.lines
+    lo = bisect_left(lines.code_starts, first)
+    hi = bisect_right(lines.code_ends, last)
+    return " ".join([t.text for t in lines.code[lo:hi]])

@@ -2,8 +2,9 @@
 
 ``metrics`` and ``export`` compute no statistic, so neither they nor a bare
 ``import solmetrics`` / ``import solmetrics.cli`` may load numpy, the
-statistics layer or a process pool. Each check runs in a fresh interpreter,
-since this test process has long since loaded all of them.
+statistics layer or a process pool; ``analyze`` loads numpy but never scipy.
+Each check runs in a fresh interpreter, since this test process has long
+since loaded all of them.
 """
 
 from __future__ import annotations
@@ -65,13 +66,13 @@ def golden_corpus(tmp_path):
     return str(manifest), str(root), tmp_path
 
 
-def _cli_statement(argv: list[str]) -> str:
+def _cli_statement(argv: list[str], exit_codes: tuple[int, ...] = (0,)) -> str:
     return (
         "import contextlib, io\n"
         "from solmetrics.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main({argv!r})\n"
-        "assert rc == 0, rc\n"
+        f"assert rc in {exit_codes!r}, rc\n"
     )
 
 
@@ -94,6 +95,17 @@ def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
     assert json.loads(result.stdout.splitlines()[-1]) == []
     if entry == "export":
         assert sorted(os.listdir(tmp / "out")) == ["metrics.csv", "metrics.json"]
+
+
+def test_analyze_loads_numpy_but_no_scipy(golden_corpus):
+    # every p-value and interval comes from the pure-Python t distribution
+    manifest, root, tmp = golden_corpus
+    argv = ["analyze", "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
+    statement = _cli_statement(argv + ["--jobs", "1"], exit_codes=(0, 2))
+    result = run_python(_PROBE.format(statement=statement), "numpy", "scipy")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == ["numpy"]
+    assert "rq1.csv" in os.listdir(tmp / "out")
 
 
 def _read_tree(path) -> dict[str, bytes]:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from solmetrics.errors import DegenerateInputError, InputError
 from solmetrics.stats import (
@@ -317,6 +317,65 @@ def test_t_quantile_inverts_cdf():
 
 def test_t_quantile_hand_value():
     assert student_t_quantile(0.975, 4) == pytest.approx(2.776, abs=1e-3)
+
+
+# mpmath at 40 digits is the oracle for the t distribution. Its betainc sums
+# the hypergeometric series, independent of the continued fraction in stats.
+
+# df from 1 to 1e5, as integers (Spearman, paired) and as fractions (Welch)
+_DF = st.integers(1, 100_000).map(float) | st.floats(0.0, 5.0).map(lambda e: 10.0**e)
+
+
+def mp_t_tail(t, df):
+    """P(T < -|t|) to 40 digits, or None where it is provably below 1e-300."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        n = mp.mpf(df)
+        t2 = mp.mpf(t) ** 2
+        a = n / 2
+        x, y = n / (n + t2), t2 / (n + t2)
+        # DLMF 8.17.8 with 2F1(a + 1/2, 1; a + 1; x) <= 1/(1 - x) bounds I_x(a, 1/2)
+        if x**a / (a * mp.beta(a, 0.5) * mp.sqrt(y)) < mp.mpf("1e-300"):
+            return None
+        return mp.betainc(a, 0.5, 0, x, regularized=True) / 2
+
+
+def relative_error(value, exact):
+    return float(abs((value - exact) / exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), _DF)
+def test_t_cdf_matches_mpmath(t, df):
+    tail = mp_t_tail(t, df)
+    if tail is None:
+        return
+    assert relative_error(student_t_cdf(-t, df), tail) <= 1e-12
+    assert relative_error(student_t_cdf(t, df), 1 - tail) <= 1e-12
+
+
+def test_t_cdf_keeps_the_complement_of_x():
+    # small |t| at large df: forming 1 - x from a rounded x = df/(df + t^2)
+    # puts this tail 1.3e-10 relative off
+    t, df = 0.0011430803211095767, 2894.656662074284
+    assert relative_error(student_t_cdf(-t, df), mp_t_tail(t, df)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-6, 1 - 1e-6), _DF)
+def test_t_quantile_matches_mpmath(p, df):
+    mp = pytest.importorskip("mpmath")
+    t = student_t_quantile(p, df)
+    if p == 0.5:
+        assert t == 0.0
+        return
+    with mp.workdps(40):
+        n, big_t = mp.mpf(df), mp.mpf(t)
+        tail = mp.betainc(n / 2, 0.5, 0, n / (n + big_t**2), regularized=True) / 2
+        cdf = tail if t < 0 else 1 - tail
+        density = (1 + big_t**2 / n) ** (-(n + 1) / 2) / (mp.sqrt(n) * mp.beta(n / 2, 0.5))
+        # to first order, t lies (cdf - p) / density from the exact quantile
+        assert float(abs((cdf - p) / (density * big_t))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
