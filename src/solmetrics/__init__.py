@@ -31,8 +31,8 @@ from .metrics import (
 from .nodes import ContractDef, FunctionDef, LineCounts, SourceUnit, Statement
 from .parser import line_accounting, parse_file, parse_source
 
-# The statistics layer loads numpy; its names resolve at first access, so a
-# command that computes no statistic never imports it.
+# The statistics layer's names resolve at first access, so a command that
+# computes no statistic never pays for importing it.
 _LAZY = {
     **dict.fromkeys(
         (

@@ -25,8 +25,10 @@ if TYPE_CHECKING:
     from .pipeline import run_analysis, run_record, run_section
     from .reports import hash_outputs, write_report, write_run_manifest, write_section
 
-# The analysis commands' functions; they load numpy, so they are bound as
-# module globals only when an analysis command runs or a caller reads one.
+# The analysis commands' functions. Importing the pipeline, statistics and
+# report modules costs more than `metrics` and `export` need, so these are
+# bound as module globals only when an analysis command runs or a caller
+# reads one.
 _PIPELINE_NAMES = ("run_analysis", "run_record", "run_section")
 _REPORT_NAMES = ("hash_outputs", "write_report", "write_run_manifest", "write_section")
 

@@ -1,7 +1,8 @@
 """Run settings shared by the CLI and the analysis pipeline.
 
-This module imports no numpy, so a command that computes no statistic
-(``export``) validates its settings with the same messages as ``analyze``.
+This module imports nothing of the statistics layer, so a command that
+computes no statistic (``export``) validates its settings with the same
+messages as ``analyze`` without importing that layer.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ class LexError(Exception):
 
 
 class ParseError(Exception):
-    """Contract-level parse failure; callers recover and keep going."""
+    """Contract-level parse failure; callers recover and keep going.
+
+    The message is bare: a diagnostic puts ``line`` before it once.
+    """
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message)
         self.line = line
 
 

@@ -6,14 +6,18 @@ rq3: discriminative power via paired t-tests on a seeded size-matched
      neutral subsample, with Welch on the full groups as a robustness
      column.
 rq4: per-group mean confidence intervals and their direction.
+
+Each analysis reads the metric columns of :class:`MetricColumns`, plain
+lists over all rows and split by label. :func:`run_analysis` builds them
+once and hands them to all four.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
+from operator import attrgetter
 
 from .config import ANALYSES, RunConfig
 from .corpus import LABEL_VULNERABLE, LabeledContractSet
@@ -113,47 +117,53 @@ class AnalysisReport:
     config: dict = field(default_factory=dict)
 
 
-def metric_columns(contract_set: LabeledContractSet) -> list[tuple[str, np.ndarray]]:
-    """The 21 metric columns over all rows, in canonical order."""
-    rows = contract_set.rows
-    columns = []
-    for name in METRIC_NAMES:
-        columns.append(
-            (name, np.array([getattr(r.metrics, name) for r in rows], dtype=np.float64))
-        )
-    return columns
+@dataclass(frozen=True)
+class MetricColumns:
+    """The metric columns of a labeled set, in ``METRIC_NAMES`` order.
+
+    ``pooled`` holds each metric over all rows, ``vulnerable`` and
+    ``neutral`` over the rows of one label; ``labels`` is 1 for a
+    vulnerable row and 0 for a neutral one.
+    """
+
+    labels: list[int]
+    pooled: list[tuple]
+    vulnerable: list[tuple]
+    neutral: list[tuple]
+    n_vulnerable: int
+    n_neutral: int
 
 
-def label_vector(contract_set: LabeledContractSet) -> np.ndarray:
-    """0/1 encoding: neutral = 0, vulnerable = 1."""
-    return np.array(
-        [1.0 if r.label == LABEL_VULNERABLE else 0.0 for r in contract_set.rows],
-        dtype=np.float64,
+def metric_columns(data: LabeledContractSet | MetricColumns) -> MetricColumns:
+    """The columns of ``data``; columns already built are returned as they are."""
+    if isinstance(data, MetricColumns):
+        return data
+    row_of = attrgetter(*METRIC_NAMES)
+    table = [row_of(r.metrics) for r in data.rows]
+    flags = [r.label == LABEL_VULNERABLE for r in data.rows]
+    vulnerable = list(compress(table, flags))
+    neutral = list(compress(table, [not f for f in flags]))
+    return MetricColumns(
+        labels=[1 if f else 0 for f in flags],
+        pooled=list(zip(*table)),
+        vulnerable=list(zip(*vulnerable)),
+        neutral=list(zip(*neutral)),
+        n_vulnerable=len(vulnerable),
+        n_neutral=len(neutral),
     )
 
 
-def _split_columns(
-    contract_set: LabeledContractSet,
-) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
-    labels = label_vector(contract_set)
-    vuln_mask = labels == 1.0
-    columns = metric_columns(contract_set)
-    vuln = [(name, col[vuln_mask]) for name, col in columns]
-    neut = [(name, col[~vuln_mask]) for name, col in columns]
-    return vuln, neut
-
-
 def rq1_redundancy(
-    contract_set: LabeledContractSet,
+    contract_set: LabeledContractSet | MetricColumns,
     threshold: float = 0.9,
     alpha: float = 0.05,
 ) -> Rq1Section:
     """Per-group correlation matrices and the |rho| > threshold pair list."""
-    vuln_cols, neut_cols = _split_columns(contract_set)
-    if vuln_cols[0][1].size < 3 or neut_cols[0][1].size < 3:
+    columns = metric_columns(contract_set)
+    if columns.n_vulnerable < 3 or columns.n_neutral < 3:
         raise InputError("each label group needs at least 3 rows for a correlation matrix")
-    vuln_matrix = correlation_matrix(vuln_cols, alpha)
-    neut_matrix = correlation_matrix(neut_cols, alpha)
+    vuln_matrix = correlation_matrix(list(zip(METRIC_NAMES, columns.vulnerable)), alpha)
+    neut_matrix = correlation_matrix(list(zip(METRIC_NAMES, columns.neutral)), alpha)
     pairs: list[RedundantPair] = []
     k = len(METRIC_NAMES)
     for i in range(k):
@@ -176,16 +186,16 @@ def rq1_redundancy(
 
 
 def rq2_metric_vs_vulnerability(
-    contract_set: LabeledContractSet, alpha: float = 0.05
+    contract_set: LabeledContractSet | MetricColumns, alpha: float = 0.05
 ) -> Rq2Section:
     """Spearman between each metric column and the 0/1 label column."""
-    labels = label_vector(contract_set)
-    if contract_set.n_vulnerable == 0 or contract_set.n_neutral == 0:
+    columns = metric_columns(contract_set)
+    if columns.n_vulnerable == 0 or columns.n_neutral == 0:
         raise InputError("rq2 needs both vulnerable and neutral rows")
     rows = []
-    for name, col in metric_columns(contract_set):
+    for name, col in zip(METRIC_NAMES, columns.pooled):
         try:
-            result = spearman(col, labels, alpha)
+            result = spearman(col, columns.labels, alpha)
         except DegenerateInputError:
             result = None
         rows.append(Rq2Row(name, result))
@@ -193,7 +203,7 @@ def rq2_metric_vs_vulnerability(
 
 
 def rq3_discriminative(
-    contract_set: LabeledContractSet, seed: int, alpha: float = 0.05
+    contract_set: LabeledContractSet | MetricColumns, seed: int, alpha: float = 0.05
 ) -> Rq3Section:
     """Paired t-tests against one seeded size-matched neutral subsample.
 
@@ -201,20 +211,19 @@ def rq3_discriminative(
     pairing is by index order. Welch's test on the full groups is attached
     as a robustness column.
     """
-    n_vuln = contract_set.n_vulnerable
-    n_neut = contract_set.n_neutral
+    columns = metric_columns(contract_set)
+    n_vuln = columns.n_vulnerable
+    n_neut = columns.n_neutral
     if n_vuln < 2:
         raise InputError("rq3 needs at least 2 vulnerable rows")
     if n_neut < n_vuln:
         raise InputError("rq3 needs at least as many neutral rows as vulnerable rows")
     sample = random.Random(seed).sample(range(n_neut), n_vuln)
-    vuln_cols, neut_cols = _split_columns(contract_set)
     rows = []
-    for (name, vuln_col), (_, neut_col) in zip(vuln_cols, neut_cols):
-        neut_sample = neut_col[sample]
+    for name, vuln_col, neut_col in zip(METRIC_NAMES, columns.vulnerable, columns.neutral):
         degenerate = False
         try:
-            paired = paired_t_test(vuln_col, neut_sample)
+            paired = paired_t_test(vuln_col, list(map(neut_col.__getitem__, sample)))
         except DegenerateInputError:
             paired = None
             degenerate = True
@@ -228,14 +237,14 @@ def rq3_discriminative(
 
 
 def rq4_interval_comparison(
-    contract_set: LabeledContractSet, level: float = 0.95
+    contract_set: LabeledContractSet | MetricColumns, level: float = 0.95
 ) -> Rq4Section:
     """Group mean confidence intervals with a separation direction flag."""
-    vuln_cols, neut_cols = _split_columns(contract_set)
-    if vuln_cols[0][1].size < 2 or neut_cols[0][1].size < 2:
+    columns = metric_columns(contract_set)
+    if columns.n_vulnerable < 2 or columns.n_neutral < 2:
         raise InputError("each label group needs at least 2 rows for an interval")
     rows = []
-    for (name, vuln_col), (_, neut_col) in zip(vuln_cols, neut_cols):
+    for name, vuln_col, neut_col in zip(METRIC_NAMES, columns.vulnerable, columns.neutral):
         vuln_ci = mean_confidence_interval(vuln_col, level)
         neut_ci = mean_confidence_interval(neut_col, level)
         if vuln_ci.lower > neut_ci.upper:
@@ -249,7 +258,7 @@ def rq4_interval_comparison(
 
 
 def run_section(
-    key: str, contract_set: LabeledContractSet, config: RunConfig
+    key: str, contract_set: LabeledContractSet | MetricColumns, config: RunConfig
 ) -> Rq1Section | Rq2Section | Rq3Section | Rq4Section:
     """Run the analysis named by one of :data:`ANALYSES` under ``config``."""
     alpha = config.significance
@@ -284,7 +293,8 @@ def run_record(contract_set: LabeledContractSet, config: RunConfig) -> dict:
 
 def run_analysis(contract_set: LabeledContractSet, config: RunConfig) -> AnalysisReport:
     """Execute all four analyses under one configuration."""
-    sections = {key: run_section(key, contract_set, config) for key in ANALYSES}
+    columns = metric_columns(contract_set)
+    sections = {key: run_section(key, columns, config) for key in ANALYSES}
     return AnalysisReport(
         **sections, counts=contract_set.counts, config=run_record(contract_set, config)
     )

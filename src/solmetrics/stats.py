@@ -1,22 +1,27 @@
 """Nonparametric and t-based statistics used by the analysis pipeline.
 
-Spearman rho is defined as the Pearson correlation of average ranks,
-which reduces to the classic 1 - 6*sum(d^2)/(n*(n^2-1)) closed form on
-tie-free data. Two-sided p-values and confidence intervals come from the
-Student-t distribution, evaluated here in pure Python through the
-regularized incomplete beta function: its continued fraction (DiDonato &
-Morris, ACM TOMS 708, 1992) gives each tail to about 2e-13 relative for
-every df and every tail above 1e-300, and the quantile is found by Newton
-steps on that CDF.
+Everything runs on Python floats and ints; the package needs no numerics
+library. Spearman rho is defined as the Pearson correlation of average
+ranks, which reduces to the classic 1 - 6*sum(d^2)/(n*(n^2-1)) closed form
+on tie-free data. Ranks are kept doubled and centred, 2r - (n + 1), which
+are integers, so every rank sum of products is exact and rho does not
+depend on summation order. Means and variances sum with ``math.fsum``,
+which does not depend on the platform either. Two-sided p-values and
+confidence intervals come from the Student-t distribution, evaluated here
+through the regularized incomplete beta function: its continued fraction
+(DiDonato & Morris, ACM TOMS 708, 1992) gives each tail to about 2e-13
+relative for every df and every tail above 1e-300, and the quantile is
+found by Newton steps on that CDF.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import chain, repeat
+from operator import mul, sub
 
 from .errors import DegenerateInputError, InputError
 
@@ -73,32 +78,97 @@ class CorrelationMatrix:
         return self.entries[i][j]
 
 
-def _as_finite_array(values, name: str = "values") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
+def _finite(values, name: str = "values") -> tuple[list, float]:
+    """``values`` as a non-empty list, with their ``math.fsum``.
+
+    A NaN or an infinity makes that sum non-finite or raises, as does a sum
+    beyond the float range; each raises :class:`InputError`.
+    """
+    xs = list(values)
+    if not xs:
         raise InputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    try:
+        total = math.fsum(xs)
+    except (OverflowError, ValueError):  # a sum or an int past the float range; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InputError(f"{name} contains a non-finite value or sums past the float range")
+    return xs, total
+
+
+def _tallied(values, name: str = "values") -> tuple[list, Counter]:
+    """``values`` as a non-empty list of finite numbers, with the multiplicity
+    of each distinct value.
+
+    Only the distinct values need the finiteness check: a NaN or an
+    infinity is one of them.
+    """
+    xs = list(values)
+    if not xs:
+        raise InputError(f"{name} must be non-empty")
+    counts = Counter(xs)
+    try:
+        finite = all(map(math.isfinite, counts))
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise InputError(f"{name} contains a non-finite value")
-    return arr
+    return xs, counts
 
 
-def _average_ranks(arr: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
-    # a tie group ending at 1-based position e with c members has mean rank e - (c-1)/2
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+def _doubled_ranks(counts: Counter, n: int) -> dict[float, int]:
+    """The doubled centred average rank 2r - (n + 1) of each distinct value.
+
+    ``counts`` maps each value of an n-vector to its multiplicity. A tie
+    group of c values ending at 1-based position e has mean rank
+    e - (c - 1)/2, so its doubled centred rank 2e - c - n is an integer.
+    """
+    doubled = {}
+    end = 0
+    for v in sorted(counts):
+        c = counts[v]
+        end += c
+        doubled[v] = 2 * end - c - n
+    return doubled
 
 
-def _centred_ranks(arr: np.ndarray) -> np.ndarray:
-    r = _average_ranks(arr)
-    r -= r.mean()
-    return r
+def _centred_ranks(xs: list, counts: Counter) -> tuple[list[float], int] | None:
+    """The doubled centred ranks of ``xs`` with their sum of squares; None if
+    ``xs`` is constant. The ranks are integers held as floats, which
+    math.dist reads fastest."""
+    if len(counts) == 1:
+        return None
+    doubled = _doubled_ranks(counts, len(xs))
+    sum_sq = sum(c * doubled[v] ** 2 for v, c in counts.items())
+    as_float = {v: float(r) for v, r in doubled.items()}
+    return list(map(as_float.__getitem__, xs)), sum_sq
 
 
 def rank(values) -> RankedVector:
     """Average ranks (1-based); tied values share the mean of their positions."""
-    arr = _as_finite_array(values)
-    ranks = _average_ranks(arr)
-    return RankedVector(tuple(arr.tolist()), tuple(ranks.tolist()), int(arr.size))
+    xs, counts = _tallied(values)
+    n = len(xs)
+    doubled = _doubled_ranks(counts, n)
+    ranks = tuple((doubled[v] + n + 1) / 2 for v in xs)
+    return RankedVector(tuple(map(float, xs)), ranks, n)
+
+
+def _mean_variance(xs: list, total: float) -> tuple[float, float]:
+    """The mean and the n - 1 variance of at least two values with fsum ``total``.
+
+    total/n rounds twice, which would leave a constant sample such as three
+    0.1 with a mean one rounding off its value and a variance above 0. So
+    fsum also gives the drift n (true mean - total/n) to one rounding; it
+    moves the mean onto the true one wherever that is a float, and its
+    square over n is the part of the squared deviations from total/n that
+    the true mean does not have (the corrected two-pass form).
+    """
+    n = len(xs)
+    mean = total / n
+    drift = math.fsum(chain(xs, repeat(-mean, n)))
+    deviations = [v - mean for v in xs]
+    square_sum = math.fsum(map(mul, deviations, deviations)) - drift * drift / n
+    return mean + drift / n, max(0.0, square_sum) / (n - 1)
 
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -108,6 +178,21 @@ _FRACTION_EPS = 2.0**-52
 _FRACTION_TERMS = 1000
 _QUANTILE_STEPS = 200
 _QUANTILE_TOL = 2.0**-50
+# Below this a = df/2 the centre mass comes from series in a; the fraction
+# loses it to cancellation, since I_x(a, 1/2) lies within about a|ln x| of 1.
+_SMALL_A = 1e-3
+# ln(Gamma(1 + a) Gamma(1/2) / Gamma(1/2 + a)) = 2a ln 2 + sum of c_k a^k
+# (Abramowitz & Stegun 6.1.33 for both gammas), with
+# c_k = (-1)^k zeta(k) (2 - 2^k)/k. These are c_2 to c_6: below _SMALL_A,
+# c_7 a^6 is under 2e-17.
+_LOG_G_SERIES = (
+    -1.6449340668482264,
+    2.4041138063191885,
+    -3.7881313179889835,
+    6.22156653086022,
+    -10.512544973839308,
+)
+_SERIES_TERMS = 100
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -156,6 +241,48 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     return b0 + rest
 
 
+def _expm1_ratio(z: float) -> float:
+    """expm1(z)/z, which is 1 where z is too small to divide by."""
+    return math.expm1(z) / z if z != 0.0 else 1.0
+
+
+def _small_df_centre(a: float, x: float, y: float, log_x: float) -> float:
+    """P(0 < T < |t|) = I_y(1/2, a)/2 for a = df/2 below ``_SMALL_A``.
+
+    Both forms use 1/B(1/2, a) = a/G with G = Gamma(1 + a) Gamma(1/2) /
+    Gamma(1/2 + a). Where y < 1/2 the power series of I_y(1/2, a) in y
+    converges at once. Otherwise I_y(1/2, a) = 1 - I_x(a, 1/2), whose power
+    series in x has a leading term x^a/G that cancels the 1; taking it out
+    by hand leaves a (D - x^a S)/G with D = (G - x^a)/a, formed from expm1,
+    and S = sum over n >= 1 of (1/2)_n x^n / (n! (n + a)). Each series
+    gains at least a bit per term.
+    """
+    log_g = 0.0  # ln(G)/a
+    for c in reversed(_LOG_G_SERIES):
+        log_g = c + a * log_g
+    log_g = 2.0 * math.log(2.0) + a * log_g
+    g = math.exp(a * log_g)
+    total = 0.0
+    if y < 0.5:
+        term = 1.0  # (1 - a)_n y^n / n!
+        for n in range(_SERIES_TERMS):
+            step = term / (n + 0.5)
+            total += step
+            if step <= _FRACTION_EPS * total:
+                break
+            term *= (n + 1 - a) * y / (n + 1)
+        return 0.5 * a * math.sqrt(y) * total / g
+    term = 1.0  # (1/2)_n x^n / n!
+    for n in range(1, _SERIES_TERMS):
+        term *= (n - 0.5) * x / n
+        step = term / (n + a)
+        total += step
+        if step <= _FRACTION_EPS * total:
+            break
+    d = log_g * _expm1_ratio(a * log_g) - log_x * _expm1_ratio(a * log_x)
+    return 0.5 * a * (d - math.exp(a * log_x) * total) / g
+
+
 def _t_masses(t: float, df: float) -> tuple[float, float, float]:
     """(P(T < -|t|), P(0 < T < |t|), |t| f(t)) for Student's t with density f.
 
@@ -174,6 +301,9 @@ def _t_masses(t: float, df: float) -> tuple[float, float, float]:
     else:  # t^2/df above 1.8e308
         x, y, log1p_u = df / abs(t) / abs(t), 1.0, 2.0 * math.log(abs(t)) - math.log(df)
     front = math.exp(_log_gamma_ratio(a) - _LOG_SQRT_PI - a * log1p_u) * math.sqrt(y)
+    if a < _SMALL_A:
+        centre = _small_df_centre(a, x, y, -log1p_u)
+        return 0.5 - centre, centre, front
     if x * (a + 0.5) <= a:
         tail = 0.5 * front / _beta_fraction(a, 0.5, x, y)
         return tail, 0.5 - tail, front
@@ -249,6 +379,11 @@ def _two_sided_p(t: float, df: float) -> float:
     return min(1.0, 2.0 * student_t_cdf(-abs(t), df))
 
 
+# math.dist is accurate to a couple of ulps, so below this sum of squares its
+# square lies within 0.2 of the integer |rx - ry|^2 <= 2 (sxx + syy).
+_DIST_EXACT = 2**47
+
+
 def _strength(rho: float) -> str:
     a = abs(rho)
     if a < 0.3:
@@ -258,10 +393,23 @@ def _strength(rho: float) -> str:
     return STRENGTH_STRONG
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> SpearmanResult:
-    """Spearman result for two centred rank vectors of one length n >= 3."""
-    n = int(rx.size)
-    rho = float(np.dot(rx, ry)) / math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
+def _rank_correlation(
+    x: tuple[list[float], int], y: tuple[list[float], int], alpha: float
+) -> SpearmanResult:
+    """Spearman result for two :func:`_centred_ranks` of one length n >= 3.
+
+    The rank sums of products are exact integers, and the doubling cancels
+    exactly in rho.
+    """
+    (rx, sxx), (ry, syy) = x, y
+    n = len(rx)
+    if sxx + syy <= _DIST_EXACT:
+        # |rx - ry|^2 = sxx + syy - 2 rx.ry is an integer that math.dist
+        # gives to within 0.2 here, so rounding recovers it
+        dot = (sxx + syy - round(math.dist(rx, ry) ** 2)) // 2
+    else:  # products below 2^53 are exact, and fsum rounds their sum once
+        dot = math.fsum(map(mul, rx, ry))
+    rho = dot / math.sqrt(sxx * syy)
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) >= 1.0:
         p = 0.0
@@ -273,29 +421,30 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> SpearmanR
 
 def spearman(x, y, alpha: float = SIGNIFICANCE_DEFAULT) -> SpearmanResult:
     """Tie-aware Spearman rank correlation with a Student-t significance test."""
-    ax = _as_finite_array(x, "x")
-    ay = _as_finite_array(y, "y")
-    if ax.size != ay.size:
+    ax, x_counts = _tallied(x, "x")
+    ay, y_counts = _tallied(y, "y")
+    if len(ax) != len(ay):
         raise InputError("x and y must have the same length")
-    if ax.size < 3:
+    if len(ax) < 3:
         raise InputError("need at least 3 observations")
-    if np.all(ax == ax[0]) or np.all(ay == ay[0]):
+    rx = _centred_ranks(ax, x_counts)
+    ry = _centred_ranks(ay, y_counts)
+    if rx is None or ry is None:
         raise DegenerateInputError("constant input vector: rho undefined")
-    return _rank_correlation(_centred_ranks(ax), _centred_ranks(ay), alpha)
+    return _rank_correlation(rx, ry, alpha)
 
 
 def paired_t_test(x, y) -> TTestResult:
     """Paired (dependent) two-sided t-test on index-matched samples."""
-    ax = _as_finite_array(x, "x")
-    ay = _as_finite_array(y, "y")
-    if ax.size != ay.size:
+    ax, _ = _finite(x, "x")
+    ay, _ = _finite(y, "y")
+    if len(ax) != len(ay):
         raise InputError("x and y must have the same length")
-    n = int(ax.size)
+    n = len(ax)
     if n < 2:
         raise InputError("need at least 2 pairs")
-    d = ax - ay
-    mean_d = float(d.mean())
-    sd = float(d.std(ddof=1))
+    mean_d, var_d = _mean_variance(*_finite(map(sub, ax, ay), "x - y"))
+    sd = math.sqrt(var_d)
     df = n - 1
     if sd == 0.0:
         if mean_d == 0.0:
@@ -307,14 +456,14 @@ def paired_t_test(x, y) -> TTestResult:
 
 def welch_t_test(x, y) -> TTestResult:
     """Welch's unequal-variance t-test with Welch-Satterthwaite df."""
-    ax = _as_finite_array(x, "x")
-    ay = _as_finite_array(y, "y")
-    if ax.size < 2 or ay.size < 2:
+    ax, x_total = _finite(x, "x")
+    ay, y_total = _finite(y, "y")
+    nx, ny = len(ax), len(ay)
+    if nx < 2 or ny < 2:
         raise InputError("each group needs at least 2 observations")
-    nx, ny = int(ax.size), int(ay.size)
-    vx = float(ax.var(ddof=1))
-    vy = float(ay.var(ddof=1))
-    mean_diff = float(ax.mean() - ay.mean())
+    mx, vx = _mean_variance(ax, x_total)
+    my, vy = _mean_variance(ay, y_total)
+    mean_diff = mx - my
     if vx == 0.0 and vy == 0.0:
         if mean_diff == 0.0:
             return TTestResult(0.0, float(nx + ny - 2), 1.0, 0.0, "welch", zero_variance=True)
@@ -329,19 +478,18 @@ def mean_confidence_interval(values, level: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval for the mean."""
     if not 0.0 < level < 1.0:
         raise InputError("level must lie strictly between 0 and 1")
-    arr = _as_finite_array(values)
-    n = int(arr.size)
+    xs, total = _finite(values)
+    n = len(xs)
     if n < 2:
         raise InputError("need at least 2 observations")
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
+    mean, var = _mean_variance(xs, total)
+    sd = math.sqrt(var)
     half_width = student_t_quantile(0.5 * (1.0 + level), n - 1) * sd / math.sqrt(n)
     return ConfidenceInterval(mean, mean - half_width, mean + half_width, level, n)
 
 
 def correlation_matrix(
-    columns: list[tuple[str, list[float]]] | list[tuple[str, np.ndarray]],
-    alpha: float = SIGNIFICANCE_DEFAULT,
+    columns: list[tuple[str, list[float]]], alpha: float = SIGNIFICANCE_DEFAULT
 ) -> CorrelationMatrix:
     """All-pairs Spearman over named columns of equal length.
 
@@ -352,21 +500,21 @@ def correlation_matrix(
     if not columns:
         raise InputError("need at least one column")
     ids = tuple(name for name, _ in columns)
-    arrays = [_as_finite_array(vals, name) for name, vals in columns]
-    n = arrays[0].size
+    tallies = [_tallied(vals, name) for name, vals in columns]
+    n = len(tallies[0][0])
     if n < 3:
         raise InputError("need at least 3 observations per column")
-    for name, arr in zip(ids, arrays):
-        if arr.size != n:
+    for name, (xs, _) in zip(ids, tallies):
+        if len(xs) != n:
             raise InputError(f"column {name!r} has mismatched length")
-    centred = [None if np.all(arr == arr[0]) else _centred_ranks(arr) for arr in arrays]
-    k = len(arrays)
+    centred = [_centred_ranks(xs, counts) for xs, counts in tallies]
+    k = len(ids)
     grid: list[list[SpearmanResult | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
         ri = centred[i]
         if ri is None:
             continue
-        grid[i][i] = SpearmanResult(1.0, 0.0, int(n), _strength(1.0), True)
+        grid[i][i] = SpearmanResult(1.0, 0.0, n, _strength(1.0), True)
         for j in range(i + 1, k):
             rj = centred[j]
             if rj is not None:

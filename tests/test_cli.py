@@ -168,7 +168,7 @@ def test_metrics_nesting_limit_jobs_invariant(tmp_path, capsys):
         assert (f"{shape}-{MAX_NESTING}.sol", "D") in scored
         assert (f"{shape}-{MAX_NESTING + 1}.sol", "D") not in scored
     assert err.splitlines() == [
-        f"{tmp_path / shape}-{MAX_NESTING + 1}.sol:2: line 2: nesting too deep"
+        f"{tmp_path / shape}-{MAX_NESTING + 1}.sol:2: nesting too deep"
         for shape in sorted(NESTING_SHAPES)
     ]
 

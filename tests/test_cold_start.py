@@ -2,7 +2,8 @@
 
 ``metrics`` and ``export`` compute no statistic, so neither they nor a bare
 ``import solmetrics`` / ``import solmetrics.cli`` may load numpy, the
-statistics layer or a process pool; ``analyze`` loads numpy but never scipy.
+statistics layer or a process pool; ``analyze`` loads neither numpy nor
+scipy.
 Each check runs in a fresh interpreter, since this test process has long
 since loaded all of them.
 """
@@ -97,14 +98,15 @@ def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
         assert sorted(os.listdir(tmp / "out")) == ["metrics.csv", "metrics.json"]
 
 
-def test_analyze_loads_numpy_but_no_scipy(golden_corpus):
-    # every p-value and interval comes from the pure-Python t distribution
+def test_analyze_loads_neither_numpy_nor_scipy(golden_corpus):
+    # every statistic runs on Python floats, and every p-value and interval
+    # comes from the pure-Python t distribution
     manifest, root, tmp = golden_corpus
     argv = ["analyze", "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
     statement = _cli_statement(argv + ["--jobs", "1"], exit_codes=(0, 2))
     result = run_python(_PROBE.format(statement=statement), "numpy", "scipy")
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == ["numpy"]
+    assert json.loads(result.stdout.splitlines()[-1]) == []
     assert "rq1.csv" in os.listdir(tmp / "out")
 
 

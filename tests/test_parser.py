@@ -92,7 +92,7 @@ def test_nesting_too_deep_diagnosed_per_contract(opener):
     )
     unit = parse_source(source, "deep.sol")
     assert [c.name for c in unit.contracts] == ["A", "B"]
-    assert [str(d) for d in unit.diagnostics] == ["deep.sol:2: line 2: nesting too deep"]
+    assert [str(d) for d in unit.diagnostics] == ["deep.sol:2: nesting too deep"]
 
 
 @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
@@ -102,15 +102,15 @@ def test_nesting_limit_per_shape(shape):
     assert at_limit.diagnostics == []
     past = parse_source(nested_source(shape, MAX_NESTING + 1), "deep.sol")
     assert [c.name for c in past.contracts] == ["A", "B"]
-    assert [str(d) for d in past.diagnostics] == ["deep.sol:2: line 2: nesting too deep"]
+    assert [str(d) for d in past.diagnostics] == ["deep.sol:2: nesting too deep"]
 
 
 @pytest.mark.parametrize(
     "tail,message",
     [
-        ("abstract", "line 2: unexpected end of file"),
-        ("struct S {\n  uint a;", "line 2: unbalanced '{'"),
-        ("function g() pure {\n  return;", "line 2: unbalanced '{'"),
+        ("abstract", "unexpected end of file"),
+        ("struct S {\n  uint a;", "unbalanced '{'"),
+        ("function g() pure {\n  return;", "unbalanced '{'"),
     ],
     ids=["bare-abstract", "unterminated-struct", "unterminated-function"],
 )

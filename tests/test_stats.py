@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from solmetrics.errors import DegenerateInputError, InputError
 from solmetrics.stats import (
+    _t_masses,
     correlation_matrix,
     mean_confidence_interval,
     paired_t_test,
@@ -55,6 +58,56 @@ def normal_cdf(t):
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
 
 
+# Floats are 0 or between 1e-6 and 1e6 in magnitude: a deviation below about
+# 1e-154 squares to an underflow, and the float moments lose it.
+_FLOATS = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
+
+
+def _tied(n_min: int, n_max: int):
+    """Lists drawn from a pool of at most six integers or floats, so ties are common."""
+    pools = st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True) | st.lists(
+        _FLOATS, min_size=1, max_size=6, unique=True
+    )
+    return pools.flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=n_min, max_size=n_max)
+    )
+
+
+# Two samples of one length, for the paired and rank statistics
+_PAIRS = st.integers(3, 20).flatmap(lambda n: st.tuples(_tied(n, n), _tied(n, n)))
+
+
+def sqrt_within(square, lo, hi) -> bool:
+    """Whether sqrt(square) lies in [lo, hi], for exact rationals."""
+    return (lo <= 0 or lo * lo <= square) and hi >= 0 and square <= hi * hi
+
+
+def mpq(q):
+    """An exact rational (or float) as an mpmath number at the working precision."""
+    mp = pytest.importorskip("mpmath")
+    q = Fraction(q)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def mp_two_sided_p(t, df):
+    """2 P(T < -|t|) to 40 digits, for an exact t and df."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        n, t2 = mp.mpf(df), mp.mpf(t) ** 2
+        return mp.betainc(n / 2, 0.5, 0, n / (n + t2), regularized=True)
+
+
+def assert_close(value, exact, scale=None):
+    """``value`` within 1e-12 of ``exact``, relative to ``scale`` (default |exact|).
+
+    A difference of two rounded means cannot be closer to its exact value
+    than the rounding of those means allows, so such a value is measured
+    against the size of what was subtracted.
+    """
+    bound = abs(exact) if scale is None else scale
+    assert abs(value - exact) <= 1e-12 * bound, (value, float(exact))
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -72,7 +125,7 @@ def test_rank_rejects_non_finite():
         rank([float("inf")])
 
 
-@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60))
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=60) | _tied(1, 60))
 def test_rank_matches_brute_force_and_sums(values):
     r = rank(values)
     n = len(values)
@@ -159,6 +212,112 @@ def test_spearman_matches_brute_force_oracle_on_ties(values, rnd):
     assert ours == pytest.approx(oracle, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_PAIRS)
+def test_spearman_within_two_ulps_of_exact_rationals(pair):
+    # the rank sums are exact, and the square root and the quotient round
+    # once each, which keeps rho within two ulps
+    x, y = pair
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    # half-integers, so the float ranks convert exactly
+    rx = [Fraction(r) for r in brute_force_ranks(x)]
+    ry = [Fraction(r) for r in brute_force_ranks(y)]
+    mid = Fraction(len(x) + 1, 2)
+    dot = sum((a - mid) * (b - mid) for a, b in zip(rx, ry))
+    sxx = sum((a - mid) ** 2 for a in rx)
+    syy = sum((b - mid) ** 2 for b in ry)
+    rho = spearman(x, y).rho
+    ulp = 2 * Fraction(math.ulp(rho))
+    lo, hi = Fraction(rho) - ulp, Fraction(rho) + ulp
+    if dot < 0:
+        lo, hi = -hi, -lo
+    assert sqrt_within(dot * dot / (sxx * syy), lo, hi)
+
+
+def test_spearman_exact_past_the_dist_range():
+    # 70,000 distinct values put the rank sums of squares past 2^47, where the
+    # rank dot product is summed by fsum instead of read off math.dist
+    n = 70_000
+    y = list(range(n))
+    random.Random(5).shuffle(y)
+    # each value is its rank minus one, so its doubled centred rank is 2v - (n - 1)
+    ry = [2 * v - (n - 1) for v in y]
+    sxx = (n**3 - n) // 3
+    dot = sum((2 * i - (n - 1)) * r for i, r in enumerate(ry))
+    assert spearman(range(n), y).rho == dot / math.sqrt(sxx * sxx)
+
+
+# ---------------------------------------------------------------------------
+# t-tests and intervals against exact moments
+#
+# statistics.mean and statistics.variance are exact on Fractions; mpmath
+# carries the square roots and the t distribution.
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PAIRS)
+def test_paired_t_test_matches_exact_moments(pair):
+    mp = pytest.importorskip("mpmath")
+    x, y = pair
+    # the differences as float arithmetic gives them, which the test takes as its data
+    d = [Fraction(a - b) for a, b in zip(x, y)]
+    mean, var = statistics.mean(d), statistics.variance(d)
+    assume(var > 0)
+    n = len(d)
+    r = paired_t_test(x, y)
+    scale = float(max(abs(v) for v in d))
+    assert_close(r.mean_difference, mean, scale)
+    with mp.workdps(40):
+        se = mp.sqrt(mpq(var) / n)
+        assert_close(r.t_statistic, mpq(mean) / se, abs(mpq(mean)) / se + scale / se)
+    assert r.degrees_of_freedom == n - 1
+    assert_close(r.p_value, mp_two_sided_p(r.t_statistic, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tied(2, 20), _tied(2, 20))
+def test_welch_t_test_matches_exact_moments(x, y):
+    mp = pytest.importorskip("mpmath")
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    vx, vy = statistics.variance(fx) / len(x), statistics.variance(fy) / len(y)
+    assume(vx + vy > 0)
+    diff = statistics.mean(fx) - statistics.mean(fy)
+    df = (vx + vy) ** 2 / (vx**2 / (len(x) - 1) + vy**2 / (len(y) - 1))
+    r = welch_t_test(x, y)
+    scale = max(abs(v) for v in x + y)
+    assert_close(r.mean_difference, diff, scale)
+    assert_close(r.degrees_of_freedom, df)
+    with mp.workdps(40):
+        se = mp.sqrt(mpq(vx + vy))
+        assert_close(r.t_statistic, mpq(diff) / se, abs(mpq(diff)) / se + scale / se)
+    assert_close(r.p_value, mp_two_sided_p(r.t_statistic, r.degrees_of_freedom))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tied(2, 20), st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+def test_mean_confidence_interval_matches_exact_moments(values, level):
+    mp = pytest.importorskip("mpmath")
+    exact = [Fraction(v) for v in values]
+    mean, var = statistics.mean(exact), statistics.variance(exact)
+    n = len(values)
+    r = mean_confidence_interval(values, level)
+    assert_close(r.mean, mean, max(abs(v) for v in values))
+    with mp.workdps(40):
+        df = mp.mpf(n - 1)
+
+        def upper_tail(t):
+            return mp.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+
+        # the root is unique, so starting the search from the tested quantile
+        # only saves steps; findroot checks the 40-digit residual itself
+        start = student_t_quantile(0.5 * (1.0 + level), n - 1)
+        q = mp.findroot(lambda t: upper_tail(t) - (1 - mpq(level)) / 2, start)
+        half = q * mp.sqrt(mpq(var) / n)
+        size = abs(mpq(mean)) + half
+        assert_close(r.lower, mpq(mean) - half, size)
+        assert_close(r.upper, mpq(mean) + half, size)
+
+
 # ---------------------------------------------------------------------------
 # t-tests
 
@@ -188,6 +347,9 @@ def test_paired_antisymmetry():
 def test_paired_degenerate_error():
     with pytest.raises(DegenerateInputError):
         paired_t_test([3, 4, 5], [1, 2, 3])  # every difference exactly 2
+    with pytest.raises(DegenerateInputError):
+        # fsum([0.1] * 3) / 3 is one rounding above 0.1
+        paired_t_test([0.1, 0.1, 0.1], [0, 0, 0])
 
 
 def test_welch_identical_groups():
@@ -215,6 +377,7 @@ def test_welch_permutation_invariance():
 def test_welch_constant_groups():
     r = welch_t_test([2, 2, 2], [2, 2])
     assert r.zero_variance and r.p_value == 1.0
+    assert welch_t_test([0.1] * 3, [0.1] * 5).zero_variance
     with pytest.raises(DegenerateInputError):
         welch_t_test([2, 2, 2], [3, 3])
 
@@ -226,6 +389,8 @@ def test_welch_constant_groups():
 def test_ci_constant_vector_collapses():
     r = mean_confidence_interval([4, 4, 4, 4])
     assert (r.lower, r.mean, r.upper) == (4.0, 4.0, 4.0)
+    r = mean_confidence_interval([0.1, 0.1, 0.1])
+    assert (r.lower, r.mean, r.upper) == (0.1, 0.1, 0.1)
 
 
 def test_ci_hand_example():
@@ -359,6 +524,23 @@ def test_t_cdf_keeps_the_complement_of_x():
     # puts this tail 1.3e-10 relative off
     t, df = 0.0011430803211095767, 2894.656662074284
     assert relative_error(student_t_cdf(-t, df), mp_t_tail(t, df)) <= 1e-12
+
+
+@pytest.mark.parametrize("df", [1e-3, 1e-10, 1e-50, 1e-300])
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 10.0, 1e3, 1e100])
+def test_t_masses_keep_the_centre_at_tiny_df(t, df):
+    # For df far below 1 the tail is within about df|ln x| of 1/2, so the
+    # centre mass P(0 < T < t) must not be formed as 1/2 minus the tail.
+    # Resolving it from the tail takes about -log10(df) digits more.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 - int(math.log10(df))):
+        n = mp.mpf(df)
+        below = mp.betainc(n / 2, 0.5, 0, n / (n + mp.mpf(t) ** 2), regularized=True)
+        tail, centre = below / 2, (1 - below) / 2
+    ours_tail, ours_centre, _ = _t_masses(t, df)
+    assert relative_error(ours_tail, tail) <= 1e-12
+    assert relative_error(ours_centre, centre) <= 1e-12
+    assert student_t_cdf(t, df) >= 0.5 >= student_t_cdf(-t, df)
 
 
 @settings(max_examples=60, deadline=None)
