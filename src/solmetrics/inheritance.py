@@ -76,19 +76,44 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
                     unresolved.setdefault(key, set()).add(base_name)
             bases_of[key] = bases
             graph.edges.update((key, base) for base in bases)
-    _check_acyclic(graph, bases_of, unresolved)
-    graph._nod = dict.fromkeys(graph.nodes, 0)
-    for key in graph.nodes:
-        # one walk over the resolved ancestors; the set is dropped after it
-        seen: set[ContractKey] = set()
-        stack = list(bases_of[key])
-        while stack:
-            k = stack.pop()
-            if k not in seen:
-                seen.add(k)
-                graph._nod[k] += 1
-                stack.extend(bases_of[k])
-        graph._noa[key] = len(seen) + len(unresolved.get(key, ()))
+    order = _check_acyclic(graph, bases_of, unresolved)
+    # Ancestor sets can overlap only in a component (contracts joined by
+    # base edges either way) where some contract has two resolved bases.
+    # Elsewhere each contract has at most one base, so its resolved ancestors
+    # are its base's plus the base, and its descendants are its children's
+    # plus the children: linear in the number of contracts.
+    component = {key: key for key in graph.nodes}
+
+    def root(key: ContractKey) -> ContractKey:
+        while component[key] != key:
+            component[key] = key = component[component[key]]
+        return key
+
+    for key, base in graph.edges:
+        component[root(key)] = root(base)
+    overlapping = {root(key) for key, bases in bases_of.items() if len(set(bases)) > 1}
+    ancestors: dict[ContractKey, int] = {}
+    nod = graph._nod = dict.fromkeys(graph.nodes, 0)
+    for key in order:  # every contract after its bases
+        bases = bases_of[key]
+        if root(key) in overlapping:
+            # one walk over the resolved ancestors; the set is dropped after it
+            seen: set[ContractKey] = set()
+            stack = list(bases)
+            while stack:
+                k = stack.pop()
+                if k not in seen:
+                    seen.add(k)
+                    nod[k] += 1
+                    stack.extend(bases_of[k])
+            ancestors[key] = len(seen)
+        else:
+            ancestors[key] = ancestors[bases[0]] + 1 if bases else 0
+        graph._noa[key] = ancestors[key] + len(unresolved.get(key, ()))
+    for key in reversed(order):  # every contract before its bases
+        bases = bases_of[key]
+        if bases and root(key) not in overlapping:
+            nod[bases[0]] += nod[key] + 1
     return graph
 
 
@@ -96,12 +121,14 @@ def _check_acyclic(
     graph: InheritanceGraph,
     bases_of: dict[ContractKey, list[ContractKey]],
     unresolved: dict[ContractKey, set[str]],
-) -> None:
+) -> list[ContractKey]:
     """Post-order DFS over the base edges with an explicit stack. It records
-    each contract's DIT when it finishes the contract, after all its bases;
-    a base still on the path is a cycle."""
+    each contract's DIT when it finishes the contract, after all its bases,
+    and returns the contracts in that finishing order; a base still on the
+    path is a cycle."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[ContractKey, int] = {k: WHITE for k in graph.nodes}
+    order: list[ContractKey] = []
     for start in sorted(graph.nodes):
         if color[start] != WHITE:
             continue
@@ -125,5 +152,7 @@ def _check_acyclic(
             else:
                 color[node] = BLACK
                 path.pop()
+                order.append(node)
                 best = 1 if node in unresolved else 0
                 graph._dit[node] = max([best] + [1 + graph._dit[b] for b in bases])
+    return order

@@ -4,14 +4,16 @@ The tree keeps only what the metric definitions consume: declarations,
 parameter lists, and for each statement its kind, children, operator
 counts and invocation count. Anything outside the subset is swallowed as
 an opaque statement. A contract's ``span`` (inclusive 1-based lines) is the
-only line range kept; line accounting and dedupe read it.
+only line range kept; line accounting and dedupe read it, together with
+the file's :class:`~solmetrics.lexer.TokenStream` that a unit keeps as
+``lines``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Token
+from .lexer import TokenStream
 
 # Statement kinds
 IF = "if"
@@ -111,32 +113,12 @@ class Diagnostic:
         return f"{self.path}:{self.line}: {self.message}"
 
 
-@dataclass(frozen=True)
-class TokenIndex:
-    """A file's one code/comment split; span queries over it cost
-    O(contract), not O(file).
-
-    ``code_upto[n]`` and ``comment_upto[n]`` count the lines 1..n touched by
-    a code token and by a comment token, so the count over any line span is
-    one subtraction. ``code`` lists the code tokens in stream order, and
-    ``code_starts``/``code_ends`` their start and end lines. Neither list
-    decreases, so the code tokens lying inside a line span are one
-    contiguous slice, found by bisecting the two.
-    """
-
-    code_upto: list[int]
-    comment_upto: list[int]
-    code: list[Token]
-    code_starts: list[int]
-    code_ends: list[int]
-
-
 @dataclass
 class SourceUnit:
     path: str
     pragma: str | None
     contracts: list[ContractDef]
-    lines: TokenIndex = field(repr=False, compare=False)
+    lines: TokenStream = field(repr=False, compare=False)
     imports: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

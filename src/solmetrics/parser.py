@@ -6,21 +6,26 @@ top-level item (contract, file-level struct or function, truncated header,
 statements nested deeper than :data:`MAX_NESTING`) produces one diagnostic
 while the rest of the file is still parsed (skip-to-next-top-level
 recovery).
+
+The parser reads the comment-free kind, text and line lists of a
+:class:`~solmetrics.lexer.TokenStream` by index, so it builds no
+:class:`~solmetrics.lexer.Token`; the unit keeps the stream for line
+accounting and dedupe.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from collections.abc import Sequence
 
 from .errors import ParseError
 from .lexer import (
-    COMMENT_KINDS,
     IDENTIFIER,
     KEYWORD,
     PRAGMA_DIRECTIVE,
     PUNCTUATION,
     Token,
+    TokenStream,
     tokenize,
 )
 from .nodes import (
@@ -45,7 +50,6 @@ from .nodes import (
     SourceUnit,
     StateVarDecl,
     Statement,
-    TokenIndex,
 )
 
 # Deepest nesting of statements inside one function body. Each level costs
@@ -84,7 +88,12 @@ _STORAGE_KEYWORDS = frozenset(
 
 
 class _Cursor:
-    """Forward-only view over the comment-free token stream.
+    """Forward-only view over a stream's comment-free token lists.
+
+    ``i`` indexes ``kinds``, ``texts``, ``starts`` and ``ends``. Index ``n``
+    is the stream's end-of-stream entry, whose empty text and kind match no
+    token, so reading at the cursor needs no bounds check. A token run is a
+    pair of indexes ``(lo, hi)``, ``hi`` excluded.
 
     ``depth`` counts the statements being parsed inside one another,
     ``item_line`` is the first line of the top-level item being parsed, and
@@ -92,64 +101,54 @@ class _Cursor:
     parsed.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, stream: TokenStream):
+        self.kinds = stream.kinds
+        self.texts = stream.texts
+        self.starts = stream.starts
+        self.ends = stream.ends
+        self.n = len(stream.texts) - 1
         self.i = 0
         self.depth = 0
         self.item_line = 1
         self.type_refs: set[str] = set()
 
-    def peek(self, k: int = 0) -> Token | None:
-        j = self.i + k
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        try:
-            tok = self.tokens[self.i]
-        except IndexError:
-            raise ParseError("unexpected end of file", self.line()) from None
-        self.i += 1
-        return tok
-
-    def jump(self, i: int) -> None:
-        """Consume every token before index ``i`` (``i`` > the current index)."""
-        self.i = i
+    def advance(self) -> int:
+        """Consume the token at the cursor; returns its index."""
+        i = self.i
+        if i == self.n:
+            raise ParseError("unexpected end of file", self.starts[i])
+        self.i = i + 1
+        return i
 
     def skip_path(self) -> str:
         """Consume the dotted identifier path at the cursor; returns its text."""
-        text, j = _path_end(self.tokens, self.i)
-        self.jump(j)
+        text, self.i = _path_end(self, self.i, self.n)
         return text
 
-    @property
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
     def check(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t is not None and t.text == text
+        return self.texts[self.i + k] == text
 
-    def match(self, text: str) -> Token | None:
-        if self.check(text):
-            return self.advance()
-        return None
+    def match(self, text: str) -> bool:
+        if self.texts[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
     def line(self) -> int:
-        t = self.peek()
-        if t is not None:
-            return t.start_line
-        return self.tokens[-1].end_line if self.tokens else 1
+        """Start line of the token at the cursor; the last code line at the end."""
+        return self.starts[self.i]
 
 
 # ---------------------------------------------------------------------------
 # token-run helpers
 
 
-def _group_end(tokens: list[Token], i: int, open_text: str, close_text: str) -> int | None:
-    """Index just past the group opened by ``tokens[i]``; None if it never closes."""
+def _group_end(texts: list[str], i: int, hi: int, open_text: str, close_text: str) -> int | None:
+    """Index just past the group opened at ``texts[i]``, looking no further
+    than ``hi``; None if it never closes."""
     depth = 0
-    for j in range(i, len(tokens)):
-        text = tokens[j].text
+    for j in range(i, hi):
+        text = texts[j]
         if text == open_text:
             depth += 1
         elif text == close_text:
@@ -159,146 +158,161 @@ def _group_end(tokens: list[Token], i: int, open_text: str, close_text: str) -> 
     return None
 
 
-def _collect_balanced(cur: _Cursor, open_text: str, close_text: str) -> list[Token]:
-    """Consume a balanced group including both delimiters.
+def _collect_balanced(cur: _Cursor, open_text: str, close_text: str) -> int:
+    """Consume a balanced group including both delimiters; returns the index
+    past it.
 
     An unclosed group consumes the rest of the file before raising, so that
     recovery does not resume inside it.
     """
     start = cur.i
-    end = _group_end(cur.tokens, start, open_text, close_text)
+    end = _group_end(cur.texts, start, cur.n, open_text, close_text)
     if end is None:
-        cur.jump(len(cur.tokens))
-        raise ParseError(f"unbalanced '{open_text}'", cur.tokens[start].start_line)
-    cur.jump(end)
-    return cur.tokens[start:end]
+        cur.i = cur.n
+        raise ParseError(f"unbalanced '{open_text}'", cur.starts[start])
+    cur.i = end
+    return end
 
 
-def _paren_inner(cur: _Cursor) -> list[Token]:
-    return _collect_balanced(cur, "(", ")")[1:-1]
+def _paren_inner(cur: _Cursor) -> tuple[int, int]:
+    """Consume a parenthesized group; returns the run inside it."""
+    start = cur.i
+    return start + 1, _collect_balanced(cur, "(", ")") - 1
 
 
-def _split_top(tokens: list[Token], sep: str) -> list[list[Token]]:
+def _split_top(cur: _Cursor, lo: int, hi: int, sep: str) -> list[tuple[int, int]]:
     """Split a run at ``sep`` tokens outside brackets; [] for an empty run."""
-    groups: list[list[Token]] = [[]]
+    if lo == hi:
+        return []
+    texts = cur.texts
+    groups = []
     depth = 0
-    for t in tokens:
-        if t.text in "([{":
+    start = lo
+    for j in range(lo, hi):
+        text = texts[j]
+        if text in "([{":
             depth += 1
-        elif t.text in ")]}":
+        elif text in ")]}":
             depth -= 1
-        if t.text == sep and depth == 0:
-            groups.append([])
-        else:
-            groups[-1].append(t)
-    return [] if groups == [[]] else groups
+        if text == sep and depth == 0:
+            groups.append((start, j))
+            start = j + 1
+    groups.append((start, hi))
+    return groups
 
 
-def _path_end(tokens: list[Token], i: int) -> tuple[str, int]:
-    """Longest dotted identifier path starting at i; returns (text, next index)."""
-    parts = [tokens[i].text]
+def _path_end(cur: _Cursor, i: int, hi: int) -> tuple[str, int]:
+    """Longest dotted identifier path starting at i and ending before hi;
+    returns (text, next index)."""
+    kinds, texts = cur.kinds, cur.texts
     j = i + 1
-    while (
-        j + 1 < len(tokens)
-        and tokens[j].kind == PUNCTUATION
-        and tokens[j].text == "."
-        and tokens[j + 1].kind == IDENTIFIER
-    ):
-        parts.append(tokens[j + 1].text)
+    if j + 1 >= hi or texts[j] != ".":
+        return texts[i], j
+    parts = [texts[i]]
+    while j + 1 < hi and kinds[j] == PUNCTUATION and texts[j] == "." and kinds[j + 1] == IDENTIFIER:
+        parts.append(texts[j + 1])
         j += 2
     return ".".join(parts), j
 
 
-def _scan_expression(tokens: list[Token], refs: set[str]) -> tuple[int, int, int]:
+def _scan_expression(cur: _Cursor, lo: int, hi: int, refs: set[str]) -> tuple[int, int, int]:
     """Count a run's invocations (the require/assert/revert guards aside),
     logical-and/or operators and ternaries; the first name of each ``new``
     expression's type is added to ``refs``."""
+    kinds, texts = cur.kinds, cur.texts
     invocations = logical = ternaries = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind == PUNCTUATION:
-            if t.text in ("&&", "||"):
+    i = lo
+    while i < hi:
+        kind = kinds[i]
+        if kind == PUNCTUATION:
+            text = texts[i]
+            if text == "&&" or text == "||":
                 logical += 1
-            elif t.text == "?":
+            elif text == "?":
                 ternaries += 1
             i += 1
-        elif t.kind == KEYWORD and t.text == "new" and i + 1 < n and tokens[i + 1].kind == IDENTIFIER:
-            name = tokens[i + 1].text
-            i = _path_end(tokens, i + 1)[1]
-            if i < n and tokens[i].text == "(":
+        elif kind == IDENTIFIER:
+            path, i = _path_end(cur, i, hi)
+            k = i
+            if k < hi and texts[k] == "{":
+                # call options: path{value: ...}(args)
+                k = _group_end(texts, k, hi, "{", "}") or hi
+            if k < hi and texts[k] == "(" and path not in _GUARD_NAMES:
+                invocations += 1
+        elif kind == KEYWORD and texts[i] == "new" and i + 1 < hi and kinds[i + 1] == IDENTIFIER:
+            name = texts[i + 1]
+            i = _path_end(cur, i + 1, hi)[1]
+            if i < hi and texts[i] == "(":
                 invocations += 1
                 refs.add(name)
-        elif t.kind == IDENTIFIER:
-            path, i = _path_end(tokens, i)
-            k = i
-            if k < n and tokens[k].text == "{":
-                # call options: path{value: ...}(args)
-                k = _group_end(tokens, k, "{", "}") or n
-            if k < n and tokens[k].text == "(" and path not in _GUARD_NAMES:
-                invocations += 1
         else:
             i += 1
     return invocations, logical, ternaries
 
 
-def _collect_generic_run(cur: _Cursor) -> tuple[list[Token], bool]:
-    """Consume one generic statement's tokens.
+def _collect_generic_run(cur: _Cursor) -> tuple[int, int, bool]:
+    """Consume one generic statement; returns its run and whether it is opaque.
 
-    Stops after a top-level ';', before the enclosing '}', or after a
-    brace-balanced unknown construct (reported as opaque). Never consumes
-    the closing brace of the surrounding block.
+    Stops after a top-level ';' (left out of the run), before the enclosing
+    '}', or after a brace-balanced unknown construct (reported as opaque,
+    and its run ends with it). Never consumes the closing brace of the
+    surrounding block.
     """
-    out: list[Token] = []
+    kinds, texts, n = cur.kinds, cur.texts, cur.n
+    start = i = cur.i
     paren = bracket = brace = 0
-    while (t := cur.peek()) is not None:
+    while i < n:
+        text = texts[i]
         top = paren == 0 and bracket == 0 and brace == 0
-        if top and t.text == ";":
-            cur.advance()
-            return out, False
-        if t.text == "}" and brace == 0:
-            return out, False
-        if t.text == "{":
+        if top and text == ";":
+            cur.i = i + 1
+            return start, i, False
+        if text == "}" and brace == 0:
+            break
+        if text == "{":
             if top:
-                prev = out[-1] if out else None
-                continuation = prev is not None and (
-                    prev.kind == IDENTIFIER or prev.text in (")", "]")
+                continuation = i > start and (
+                    kinds[i - 1] == IDENTIFIER or texts[i - 1] in (")", "]")
                 )
                 if not continuation:
                     # unknown block construct: swallow it whole
-                    out.extend(_collect_balanced(cur, "{", "}"))
+                    cur.i = i
+                    end = _collect_balanced(cur, "{", "}")
                     cur.match(";")
-                    return out, True
+                    return start, end, True
             brace += 1
-        elif t.text == "}":
+        elif text == "}":
             brace -= 1
-        elif t.text == "(":
+        elif text == "(":
             paren += 1
-        elif t.text == ")":
+        elif text == ")":
             paren = max(0, paren - 1)
-        elif t.text == "[":
+        elif text == "[":
             bracket += 1
-        elif t.text == "]":
+        elif text == "]":
             bracket = max(0, bracket - 1)
-        out.append(cur.advance())
-    return out, False
+        i += 1
+    cur.i = i
+    return start, i, False
 
 
 def _skip_to_brace(cur: _Cursor) -> bool:
     """Consume a construct's header up to its '{'; False if a ';', '}' or the
     end of file comes first."""
-    while (t := cur.peek()) is not None and t.text not in (";", "}"):
-        if t.text == "{":
+    texts, n = cur.texts, cur.n
+    i = cur.i
+    while i < n and (text := texts[i]) not in (";", "}"):
+        if text == "{":
+            cur.i = i
             return True
-        cur.advance()
+        i += 1
+    cur.i = i
     return False
 
 
 def _take_name(cur: _Cursor) -> str:
     """Consume an identifier at the cursor and return it; '' if there is none."""
-    t = cur.peek()
-    return cur.advance().text if t is not None and t.kind == IDENTIFIER else ""
+    return cur.texts[cur.advance()] if cur.kinds[cur.i] == IDENTIFIER else ""
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +323,18 @@ def _parse_block(cur: _Cursor) -> Statement:
     opener = cur.advance()  # '{'
     children: list[Statement] = []
     while not cur.check("}"):
-        if cur.at_end:
-            raise ParseError("unbalanced '{'", opener.start_line)
+        if cur.i == cur.n:
+            raise ParseError("unbalanced '{'", cur.starts[opener])
         children.append(_parse_statement(cur))
     cur.advance()
     return Statement(BLOCK, children)
 
 
-def _generic_after(cur: _Cursor, kw: Token) -> Statement:
-    """A keyword statement missing its opener, parsed as a generic statement."""
-    rest, _ = _collect_generic_run(cur)
-    return _finish_generic(cur, [kw] + rest)
+def _generic_after(cur: _Cursor, kw: int) -> Statement:
+    """A keyword statement missing its opener, parsed as a generic statement
+    that starts at the keyword (index ``kw``, just consumed)."""
+    _, end, _ = _collect_generic_run(cur)
+    return _finish_generic(cur, kw, end)
 
 
 def _parse_conditional(cur: _Cursor) -> Statement:
@@ -327,13 +342,14 @@ def _parse_conditional(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
+    invocations, logical, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
     children = [_parse_statement(cur)]
-    has_else = kw.text == "if" and cur.match("else") is not None
+    is_if = cur.texts[kw] == "if"
+    has_else = is_if and cur.match("else")
     if has_else:
         children.append(_parse_statement(cur))
     return Statement(
-        IF if kw.text == "if" else WHILE,
+        IF if is_if else WHILE,
         children,
         condition_ops=logical,
         ternary_ops=ternaries,
@@ -346,10 +362,10 @@ def _parse_for(cur: _Cursor) -> Statement:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
-    header = _paren_inner(cur)
-    clauses = _split_top(header, ";")
-    invocations, _, ternaries = _scan_expression(header, cur.type_refs)
-    logical = _scan_expression(clauses[1], set())[1] if len(clauses) > 1 else 0
+    lo, hi = _paren_inner(cur)
+    clauses = _split_top(cur, lo, hi, ";")
+    invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
+    logical = _scan_expression(cur, *clauses[1], set())[1] if len(clauses) > 1 else 0
     return Statement(FOR, [_parse_statement(cur)], logical, ternaries, invocations)
 
 
@@ -358,15 +374,15 @@ def _parse_do_while(cur: _Cursor) -> Statement:
     body = _parse_statement(cur)
     invocations = logical = ternaries = 0
     if cur.match("while") and cur.check("("):
-        invocations, logical, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
+        invocations, logical, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
     cur.match(";")
     return Statement(DO_WHILE, [body], logical, ternaries, invocations)
 
 
 def _parse_return(cur: _Cursor) -> Statement:
     cur.advance()
-    expr, _ = _collect_generic_run(cur)
-    invocations, _, ternaries = _scan_expression(expr, cur.type_refs)
+    lo, hi, _ = _collect_generic_run(cur)
+    invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
     return Statement(RETURN, ternary_ops=ternaries, invocations=invocations)
 
 
@@ -376,16 +392,15 @@ def _parse_named_call(cur: _Cursor) -> Statement:
     Neither the guard nor an event or custom error name is an invocation;
     only the argument expressions carry invocations.
     """
-    kw = cur.advance()
-    t = cur.peek()
-    if kw.text in ("emit", "revert") and t is not None and t.kind == IDENTIFIER:
+    kw = cur.texts[cur.advance()]
+    if kw in ("emit", "revert") and cur.kinds[cur.i] == IDENTIFIER:
         cur.skip_path()
     invocations = ternaries = 0
     if cur.check("("):
-        invocations, _, ternaries = _scan_expression(_paren_inner(cur), cur.type_refs)
+        invocations, _, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
     cur.match(";")
     return Statement(
-        EMIT if kw.text == "emit" else REQUIRE_LIKE,
+        EMIT if kw == "emit" else REQUIRE_LIKE,
         ternary_ops=ternaries,
         invocations=invocations,
     )
@@ -410,45 +425,45 @@ def _parse_assembly(cur: _Cursor) -> Statement:
 def _parse_try(cur: _Cursor) -> Statement:
     cur.advance()
     depth = 0
-    prev: Token | None = None
-    while (t := cur.peek()) is not None:
-        if t.text == "{" and depth == 0:
-            _collect_balanced(cur, "{", "}")
+    while cur.i < cur.n:
+        text = cur.texts[cur.i]
+        if text == "{" and depth == 0:
             # a brace straight after an identifier is call options, not the body
-            if prev is not None and prev.kind == IDENTIFIER:
-                prev = None
+            options = cur.kinds[cur.i - 1] == IDENTIFIER
+            _collect_balanced(cur, "{", "}")
+            if options:
                 continue
             break
-        if t.text == "(":
+        if text == "(":
             depth += 1
-        elif t.text == ")":
+        elif text == ")":
             depth = max(0, depth - 1)
-        elif t.text in (";", "}") and depth == 0:
+        elif text in (";", "}") and depth == 0:
             break
-        prev = cur.advance()
+        cur.advance()
     while cur.match("catch") and _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
     return Statement(ASSEMBLY_OPAQUE)
 
 
 def _parse_jump(cur: _Cursor) -> Statement:
-    kw = cur.advance()
+    kw = cur.texts[cur.advance()]
     cur.match(";")
-    return Statement(BREAK if kw.text == "break" else CONTINUE)
+    return Statement(BREAK if kw == "break" else CONTINUE)
 
 
 def _parse_simple(cur: _Cursor) -> Statement:
     """A pragma, an expression or declaration, an empty statement, or an
     unknown block construct swallowed as opaque."""
-    if cur.peek().kind == PRAGMA_DIRECTIVE:
+    if cur.kinds[cur.i] == PRAGMA_DIRECTIVE:
         cur.advance()
         return Statement(EXPRESSION)
-    tokens, opaque = _collect_generic_run(cur)
-    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(cur, tokens)
+    lo, hi, opaque = _collect_generic_run(cur)
+    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(cur, lo, hi)
 
 
-def _finish_generic(cur: _Cursor, tokens: list[Token]) -> Statement:
-    invocations, _, ternaries = _scan_expression(tokens, cur.type_refs)
+def _finish_generic(cur: _Cursor, lo: int, hi: int) -> Statement:
+    invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
     return Statement(EXPRESSION, ternary_ops=ternaries, invocations=invocations)
 
 
@@ -470,16 +485,21 @@ _STATEMENT_PARSERS = {
 
 
 def _parse_statement(cur: _Cursor) -> Statement:
-    t = cur.peek()
-    if t is None:
-        raise ParseError("unexpected end of file in statement", cur.line())
+    i = cur.i
+    if i == cur.n:
+        raise ParseError("unexpected end of file in statement", cur.starts[i])
     if cur.depth >= MAX_NESTING:
         raise ParseError("nesting too deep", cur.item_line)
-    parse = _STATEMENT_PARSERS.get(t.text)
-    if parse is None and t.kind == IDENTIFIER and t.text in _GUARD_NAMES:
-        nxt = cur.peek(1)
-        if nxt is not None and (nxt.text == "(" or t.text == "revert"):
-            parse = _parse_named_call
+    text = cur.texts[i]
+    parse = _STATEMENT_PARSERS.get(text)
+    if (
+        parse is None
+        and text in _GUARD_NAMES
+        and cur.kinds[i] == IDENTIFIER
+        and i + 1 < cur.n
+        and (cur.texts[i + 1] == "(" or text == "revert")
+    ):
+        parse = _parse_named_call
     cur.depth += 1
     stmt = (parse or _parse_simple)(cur)
     cur.depth -= 1
@@ -490,58 +510,57 @@ def _parse_statement(cur: _Cursor) -> Statement:
 # declarations
 
 
-def _split_typed_item(tokens: list[Token]) -> tuple[int, str]:
-    """Where the type of a parameter/state-var fragment ends, and the name
-    after it ('' if there is none)."""
-    if not tokens or tokens[0].kind not in (KEYWORD, IDENTIFIER):
-        return 0, ""
-    n = len(tokens)
-    t0 = tokens[0]
-    if t0.kind == IDENTIFIER:
-        i = _path_end(tokens, 0)[1]
-    elif t0.text in ("mapping", "function"):
-        i = _skip_group(tokens, 1, "(", ")")
-        if t0.text == "function":
-            while i < n and tokens[i].kind == KEYWORD and tokens[i].text != "returns":
+def _split_typed_item(cur: _Cursor, lo: int, hi: int) -> tuple[int, str]:
+    """Where the type of a parameter/state-var run ends, and the name after
+    it ('' if there is none)."""
+    kinds, texts = cur.kinds, cur.texts
+    if lo == hi or kinds[lo] not in (KEYWORD, IDENTIFIER):
+        return lo, ""
+    t0 = texts[lo]
+    if kinds[lo] == IDENTIFIER:
+        i = _path_end(cur, lo, hi)[1]
+    elif t0 in ("mapping", "function"):
+        i = _skip_group(cur, lo + 1, hi, "(", ")")
+        if t0 == "function":
+            while i < hi and kinds[i] == KEYWORD and texts[i] != "returns":
                 i += 1
-            if i < n and tokens[i].text == "returns":
-                i = _skip_group(tokens, i + 1, "(", ")")
+            if i < hi and texts[i] == "returns":
+                i = _skip_group(cur, i + 1, hi, "(", ")")
     else:
-        i = 1
-    while i < n and tokens[i].text == "[":
-        i = _skip_group(tokens, i, "[", "]")
+        i = lo + 1
+    while i < hi and texts[i] == "[":
+        i = _skip_group(cur, i, hi, "[", "]")
     type_end = i
-    while i < n and tokens[i].kind == KEYWORD and tokens[i].text in _STORAGE_KEYWORDS:
-        i = _skip_group(tokens, i + 1, "(", ")") if tokens[i].text == "override" else i + 1
-    name = tokens[i].text if i < n and tokens[i].kind == IDENTIFIER else ""
+    while i < hi and kinds[i] == KEYWORD and texts[i] in _STORAGE_KEYWORDS:
+        i = _skip_group(cur, i + 1, hi, "(", ")") if texts[i] == "override" else i + 1
+    name = texts[i] if i < hi and kinds[i] == IDENTIFIER else ""
     return type_end, name
 
 
-def _skip_group(tokens: list[Token], i: int, open_text: str, close_text: str) -> int:
-    """Index past the group opened at ``tokens[i]`` (the end of the run if it
-    never closes); ``i`` itself if no group opens there."""
-    if i >= len(tokens) or tokens[i].text != open_text:
+def _skip_group(cur: _Cursor, i: int, hi: int, open_text: str, close_text: str) -> int:
+    """Index past the group opened at ``i`` (``hi`` if it never closes);
+    ``i`` itself if no group opens there."""
+    if i >= hi or cur.texts[i] != open_text:
         return i
-    return _group_end(tokens, i, open_text, close_text) or len(tokens)
+    return _group_end(cur.texts, i, hi, open_text, close_text) or hi
 
 
-def _add_type_refs(type_tokens: list[Token], refs: set[str]) -> None:
-    """Add each identifier of a type that does not follow a '.' to ``refs``."""
-    prev = ""
-    for t in type_tokens:
-        if t.kind == IDENTIFIER and prev != ".":
-            refs.add(t.text)
-        prev = t.text
+def _add_type_refs(cur: _Cursor, lo: int, hi: int, refs: set[str]) -> None:
+    """Add each identifier of a type run that does not follow a '.' to ``refs``."""
+    kinds, texts = cur.kinds, cur.texts
+    for j in range(lo, hi):
+        if kinds[j] == IDENTIFIER and (j == lo or texts[j - 1] != "."):
+            refs.add(texts[j])
 
 
 def _typed_items(cur: _Cursor) -> list[str]:
     """The name of each item in a parenthesized parameter list; the names
     its types use are added to the contract's ``type_refs``."""
     names = []
-    for group in _split_top(_paren_inner(cur), ","):
-        if group:
-            type_end, name = _split_typed_item(group)
-            _add_type_refs(group[:type_end], cur.type_refs)
+    for lo, hi in _split_top(cur, *_paren_inner(cur), ","):
+        if lo < hi:
+            type_end, name = _split_typed_item(cur, lo, hi)
+            _add_type_refs(cur, lo, type_end, cur.type_refs)
             names.append(name)
     return names
 
@@ -549,28 +568,28 @@ def _typed_items(cur: _Cursor) -> list[str]:
 def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
     cur.advance()  # function/constructor/fallback/receive/modifier
     name: str | None = None
-    if kind in ("function", "modifier-def"):
-        t = cur.peek()
-        if t is not None and t.kind in (IDENTIFIER, KEYWORD):
-            name = cur.advance().text
+    if kind in ("function", "modifier-def") and cur.kinds[cur.i] in (IDENTIFIER, KEYWORD):
+        name = cur.texts[cur.advance()]
     params: list[Param] = []
     if cur.check("("):
-        params = [Param(name) for name in _typed_items(cur)]
+        params = [Param(param) for param in _typed_items(cur)]
     body: Statement | None = None
-    while (t := cur.peek()) is not None:
-        if t.text == "{":
+    while cur.i < cur.n:
+        text = cur.texts[cur.i]
+        if text == "{":
             body = _parse_block(cur)
             break
-        if t.text == ";":
+        if text == ";":
             cur.advance()
             break
-        if t.text == "}":
+        if text == "}":
             break  # malformed header; let the member loop see the brace
-        if t.kind == KEYWORD and t.text == "returns":
+        token_kind = cur.kinds[cur.i]
+        if token_kind == KEYWORD and text == "returns":
             cur.advance()
             if cur.check("("):
                 _typed_items(cur)
-        elif t.kind == IDENTIFIER:
+        elif token_kind == IDENTIFIER:
             cur.skip_path()  # modifier invocation (or base constructor call)
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
@@ -580,16 +599,15 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
-    tokens, opaque = _collect_generic_run(cur)
-    if opaque or not tokens:
+    lo, hi, opaque = _collect_generic_run(cur)
+    if opaque or lo == hi:
         return None
-    lhs = _split_top(tokens, "=")[0]
-    rhs = tokens[len(lhs) + 1 :]
-    type_end, name = _split_typed_item(lhs)
+    lhs_end = _split_top(cur, lo, hi, "=")[0][1]
+    type_end, name = _split_typed_item(cur, lo, lhs_end)
     if not name:
         return None
-    _add_type_refs(lhs[:type_end], cur.type_refs)
-    _scan_expression(rhs, cur.type_refs)
+    _add_type_refs(cur, lo, type_end, cur.type_refs)
+    _scan_expression(cur, lhs_end + 1, hi, cur.type_refs)
     return StateVarDecl(name)
 
 
@@ -607,229 +625,197 @@ def _parse_type_decl(cur: _Cursor) -> str:
 
 
 def _parse_contract(cur: _Cursor) -> ContractDef:
-    start = cur.peek()
+    first_line = cur.line()
     cur.match("abstract")
-    kind_tok = cur.advance()
-    if kind_tok.text not in _CONTRACT_KINDS:
-        raise ParseError(f"expected contract keyword, found '{kind_tok.text}'", kind_tok.start_line)
-    name_tok = cur.peek()
-    if name_tok is None or name_tok.kind != IDENTIFIER:
-        raise ParseError(f"missing name in {kind_tok.text} header", cur.line())
-    cur.advance()
+    kind_at = cur.advance()
+    kind = cur.texts[kind_at]
+    if kind not in _CONTRACT_KINDS:
+        raise ParseError(f"expected contract keyword, found '{kind}'", cur.starts[kind_at])
+    if cur.kinds[cur.i] != IDENTIFIER:
+        raise ParseError(f"missing name in {kind} header", cur.line())
+    name = cur.texts[cur.advance()]
     base_names: list[str] = []
     type_refs = cur.type_refs = set()
     if cur.match("is"):
-        while (t := cur.peek()) is not None and t.kind == IDENTIFIER:
-            type_refs.add(t.text)
+        while cur.kinds[cur.i] == IDENTIFIER:
+            type_refs.add(cur.texts[cur.i])
             base_names.append(cur.skip_path())
             if cur.check("("):
                 _collect_balanced(cur, "(", ")")
             if not cur.match(","):
                 break
     if not cur.check("{"):
-        raise ParseError(f"expected '{{' in {kind_tok.text} '{name_tok.text}' header", cur.line())
+        raise ParseError(f"expected '{{' in {kind} '{name}' header", cur.line())
     opener = cur.advance()
     contract = ContractDef(
-        name=name_tok.text,
-        kind=kind_tok.text,
+        name=name,
+        kind=kind,
         base_names=base_names,
         state_vars=[],
         functions=[],
-        span=(start.start_line, opener.end_line),
+        span=(first_line, cur.ends[opener]),
         type_refs=type_refs,
     )
     while not cur.check("}"):
-        if cur.at_end:
-            raise ParseError(
-                f"unbalanced braces in {kind_tok.text} '{name_tok.text}'", opener.start_line
-            )
+        if cur.i == cur.n:
+            raise ParseError(f"unbalanced braces in {kind} '{name}'", cur.starts[opener])
         _parse_member(cur, contract)
-    closer = cur.advance()
-    contract.span = (start.start_line, closer.end_line)
+    contract.span = (first_line, cur.ends[cur.advance()])
     return contract
 
 
 def _function_member_is_state_var(cur: _Cursor) -> bool:
     """Lookahead: `function (...)` that ends `name ;` or carries a top-level
     `=` is a function-typed state variable, not a definition."""
-    nxt = cur.peek(1)
-    if nxt is None or nxt.text != "(":
+    kinds, texts = cur.kinds, cur.texts
+    if texts[cur.i + 1] != "(":
         return False
-    i = cur.i + 1
-    tokens = cur.tokens
     depth = 0
-    prev: Token | None = None
-    while i < len(tokens):
-        t = tokens[i]
-        if t.text in "([":
+    for j in range(cur.i + 1, cur.n):
+        text = texts[j]
+        if text in "([":
             depth += 1
-        elif t.text in ")]":
+        elif text in ")]":
             depth = max(0, depth - 1)
         elif depth == 0:
-            if t.text == "{":
+            if text == "{":
                 return False
-            if t.text == "=":
+            if text == "=":
                 return True
-            if t.text == ";":
-                return prev is not None and prev.kind == IDENTIFIER
-        prev = t
-        i += 1
+            if text == ";":
+                return kinds[j - 1] == IDENTIFIER
     return False
 
 
 def _parse_member(cur: _Cursor, contract: ContractDef) -> None:
-    t = cur.peek()
-    kind = _FUNCTION_KINDS.get(t.text)
+    i = cur.i
+    text = cur.texts[i]
+    kind = _FUNCTION_KINDS.get(text)
     if kind is not None and not (kind == "function" and _function_member_is_state_var(cur)):
         contract.functions.append(_parse_function_like(cur, kind))
-    elif t.text == "event":
+    elif text == "event":
         cur.advance()
         name = _take_name(cur)
         if cur.check("("):
             _collect_balanced(cur, "(", ")")
-        while not cur.at_end and not cur.check(";") and not cur.check("}"):
+        while cur.i < cur.n and not cur.check(";") and not cur.check("}"):
             cur.advance()
         cur.match(";")
         contract.events.append(name)
-    elif t.text in ("struct", "enum"):
-        (contract.structs if t.text == "struct" else contract.enums).append(_parse_type_decl(cur))
-    elif t.text in ("using", "type") or (
-        t.text == "error"
-        and (n1 := cur.peek(1)) is not None
-        and n1.kind == IDENTIFIER
-        and cur.check("(", 2)
+    elif text in ("struct", "enum"):
+        (contract.structs if text == "struct" else contract.enums).append(_parse_type_decl(cur))
+    elif text in ("using", "type") or (
+        text == "error" and cur.kinds[i + 1] == IDENTIFIER and cur.check("(", 2)
     ):
         _collect_generic_run(cur)
-    elif t.kind == PRAGMA_DIRECTIVE or t.text == ";":
+    elif cur.kinds[i] == PRAGMA_DIRECTIVE or text == ";":
         cur.advance()
     elif (var := _parse_state_var(cur)) is not None:
         contract.state_vars.append(var)
 
 
-def _starts_top_level(t: Token) -> bool:
+def _starts_top_level(kind: str, text: str) -> bool:
     """A pragma, an import or a contract header: where recovery resumes."""
-    return t.kind == PRAGMA_DIRECTIVE or (t.kind == KEYWORD and t.text in _TOP_LEVEL_KEYWORDS)
+    return kind == PRAGMA_DIRECTIVE or (kind == KEYWORD and text in _TOP_LEVEL_KEYWORDS)
 
 
 def _recover_to_top_level(cur: _Cursor) -> None:
+    kinds, texts, n = cur.kinds, cur.texts, cur.n
     depth = 0
-    while (t := cur.peek()) is not None:
-        if t.text == "{":
+    i = cur.i
+    while i < n:
+        text = texts[i]
+        if text == "{":
             depth += 1
-        elif t.text == "}":
+        elif text == "}":
             depth = max(0, depth - 1)
-        elif depth == 0 and _starts_top_level(t):
-            return
-        cur.advance()
+        elif depth == 0 and _starts_top_level(kinds[i], text):
+            break
+        i += 1
+    cur.i = i
 
 
 def _skip_toplevel_item(cur: _Cursor) -> None:
-    t = cur.peek()
-    if t.text == "{":
-        cur.jump(_group_end(cur.tokens, cur.i, "{", "}") or len(cur.tokens))
+    text = cur.texts[cur.i]
+    if text == "{":
+        cur.i = _group_end(cur.texts, cur.i, cur.n, "{", "}") or cur.n
         return
-    if t.text in ("struct", "enum"):
+    if text in ("struct", "enum"):
         _parse_type_decl(cur)
         return
     cur.advance()
-    if t.text == "function":
+    if text == "function":
         # file-level function: skip header and body
-        while (nt := cur.peek()) is not None:
-            if nt.text == "{":
+        while cur.i < cur.n:
+            nt = cur.texts[cur.i]
+            if nt == "{":
                 _collect_balanced(cur, "{", "}")
                 return
-            if nt.text == ";":
+            if nt == ";":
                 cur.advance()
                 return
-            if nt.text in _CONTRACT_KINDS:
+            if nt in _CONTRACT_KINDS:
                 return
             cur.advance()
         return
     depth = 0
-    while (nt := cur.peek()) is not None:
-        if depth == 0 and nt.text == ";":
+    while cur.i < cur.n:
+        nt = cur.texts[cur.i]
+        if depth == 0 and nt == ";":
             cur.advance()
             return
-        if depth == 0 and _starts_top_level(nt):
+        if depth == 0 and _starts_top_level(cur.kinds[cur.i], nt):
             return
-        if nt.text in "([{":
+        if nt in "([{":
             depth += 1
-        elif nt.text in ")]}":
+        elif nt in ")]}":
             depth = max(0, depth - 1)
         cur.advance()
 
 
-def _split_comments(tokens: list[Token]) -> TokenIndex:
-    """The file's code tokens and per-line code/comment flags, in one pass.
-
-    The flags are sized by the last token's end line, the largest one in
-    stream order as :func:`tokenize` returns it. A hand-built list out of
-    that order grows them as it goes, so it still indexes without raising.
-    """
-    n_lines = tokens[-1].span[2] if tokens else 0
-    code_lines = bytearray(n_lines + 1)
-    comment_lines = bytearray(n_lines + 1)
-    code: list[Token] = []
-    code_starts: list[int] = []
-    code_ends: list[int] = []
-    for t in tokens:
-        first, _, last, _ = t.span
-        if last > n_lines:
-            code_lines.extend(bytes(last - n_lines))
-            comment_lines.extend(bytes(last - n_lines))
-            n_lines = last
-        if t.kind in COMMENT_KINDS:
-            flags = comment_lines
-        else:
-            flags = code_lines
-            code.append(t)
-            code_starts.append(first)
-            code_ends.append(last)
-        if first == last:
-            flags[first] = 1
-        else:
-            flags[first : last + 1] = b"\x01" * (last + 1 - first)
-    return TokenIndex(
-        list(accumulate(code_lines)), list(accumulate(comment_lines)), code, code_starts, code_ends
-    )
-
-
-def parse_file(tokens: list[Token], path: str) -> SourceUnit:
+def parse_file(tokens: Sequence[Token], path: str) -> SourceUnit:
     """Parse a token stream into a source unit.
+
+    ``tokens`` is what :func:`tokenize` returns, read without building a
+    :class:`Token`; any other token sequence (a hand-built list) is first
+    turned into a :class:`TokenStream` with :meth:`TokenStream.from_tokens`.
 
     Every well-formed top-level contract/interface/library becomes one
     :class:`ContractDef`. A malformed top-level item, including a contract
     whose statements nest deeper than :data:`MAX_NESTING`, becomes one
     diagnostic and parsing resumes at the next top-level construct; no
     input raises. Duplicate contract names within a file keep the first
-    definition and diagnose the rest. The unit keeps the file's
-    :class:`TokenIndex` as ``lines`` for :func:`line_accounting` and
+    definition and diagnose the rest. The unit keeps the stream as
+    ``lines`` for :func:`line_accounting` and
     :func:`normalized_contract_text`.
     """
-    lines = _split_comments(tokens)
-    cur = _Cursor(lines.code)
+    lines = tokens if isinstance(tokens, TokenStream) else TokenStream.from_tokens(tokens)
+    cur = _Cursor(lines)
+    kinds, texts = cur.kinds, cur.texts
     pragma: str | None = None
     imports: list[str] = []
     contracts: list[ContractDef] = []
     diagnostics: list[Diagnostic] = []
     seen_names: set[str] = set()
-    while (t := cur.peek()) is not None:
-        cur.item_line = t.start_line
+    while cur.i < cur.n:
+        text = texts[cur.i]
+        cur.item_line = cur.line()
         try:
-            if t.kind == PRAGMA_DIRECTIVE:
+            if kinds[cur.i] == PRAGMA_DIRECTIVE:
                 if pragma is None:
-                    pragma = t.text[len("pragma") :].strip().rstrip(";").strip()
+                    pragma = text[len("pragma") :].strip().rstrip(";").strip()
                 cur.advance()
-            elif t.text == "import":
+            elif text == "import":
                 cur.advance()
                 parts = []
-                while (nt := cur.peek()) is not None and nt.text != ";":
-                    if nt.text in _CONTRACT_KINDS:
+                while cur.i < cur.n and (part := texts[cur.i]) != ";":
+                    if part in _CONTRACT_KINDS:
                         break
-                    parts.append(cur.advance().text)
+                    parts.append(part)
+                    cur.advance()
                 cur.match(";")
                 imports.append(" ".join(parts))
-            elif t.text in _CONTRACT_KINDS or t.text == "abstract":
+            elif text in _CONTRACT_KINDS or text == "abstract":
                 contract = _parse_contract(cur)
                 if contract.name in seen_names:
                     diagnostics.append(
@@ -864,7 +850,7 @@ def parse_source(source: str, path: str = "<string>") -> SourceUnit:
 
 
 # ---------------------------------------------------------------------------
-# span queries over a unit's line index
+# span queries over a unit's token stream
 
 
 def _lines_in(upto: list[int], first: int, last: int) -> int:
@@ -879,9 +865,10 @@ def line_accounting(unit: SourceUnit, contract: ContractDef) -> LineCounts:
     at least one non-comment token; cloc counts lines touched by a comment
     token. A mixed code+comment line counts toward both lloc and cloc.
 
-    The counts come from the unit's :class:`TokenIndex` in O(1). Contracts
-    sharing a line, or a block comment crossing a contract boundary, count
-    that line in each span it touches.
+    The counts come from the prefix sums of the unit's
+    :class:`TokenStream` in O(1). Contracts sharing a line, or a block
+    comment crossing a contract boundary, count that line in each span it
+    touches.
     """
     first, last = contract.span
     return LineCounts(
@@ -894,11 +881,12 @@ def line_accounting(unit: SourceUnit, contract: ContractDef) -> LineCounts:
 def normalized_contract_text(unit: SourceUnit, contract: ContractDef) -> str:
     """Comment-stripped, whitespace-normalized text of one contract span.
 
-    Joins the code tokens lying wholly inside the span, found by bisecting
-    the unit's :class:`TokenIndex`.
+    Joins the code texts lying wholly inside the span, one slice found by
+    bisecting the start and end lines of the unit's :class:`TokenStream`.
     """
     first, last = contract.span
     lines = unit.lines
-    lo = bisect_left(lines.code_starts, first)
-    hi = bisect_right(lines.code_ends, last)
-    return " ".join([t.text for t in lines.code[lo:hi]])
+    n = len(lines.texts) - 1  # the end-of-stream entry is no token
+    lo = bisect_left(lines.starts, first, 0, n)
+    hi = bisect_right(lines.ends, last, 0, n)
+    return " ".join(lines.texts[lo:hi])

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -193,3 +194,43 @@ def test_frontend_hooks_stay_on_cli():
     # ingest calls these through corpus; a tracer wraps them on both modules
     assert cli.build_inheritance_graph is corpus.build_inheritance_graph
     assert cli.contract_metrics is corpus.contract_metrics
+
+
+# The names perfbench/trace_child.py wraps on ``corpus``, each with what
+# ``_parse_sol_file`` calls it once for.
+CORPUS_HOOKS = {
+    "tokenize": "file",
+    "parse_file": "file",
+    "line_accounting": "contract",
+    "normalized_contract_text": "contract",
+    "contract_metrics": "contract",
+}
+
+
+def test_replacements_set_on_corpus_are_what_parse_sol_file_calls(golden_corpus, monkeypatch):
+    manifest, root, tmp = golden_corpus
+    files = sorted(os.listdir(root))
+    calls = Counter()
+    token_counts = []
+
+    def counting(name, original):
+        def replacement(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if name == "tokenize":
+                walked = list(result)
+                token_counts.append((len(result), len(walked), sum(t.is_comment for t in walked)))
+            return result
+
+        return replacement
+
+    for name in CORPUS_HOOKS:
+        monkeypatch.setattr(corpus, name, counting(name, getattr(corpus, name)))
+    parsed = corpus.parse_files(root, files, jobs=1)
+    assert [pf.error for pf in parsed] == [None] * len(files)
+    contracts = sum(len(pf.contracts) for pf in parsed)
+    per = {"file": len(files), "contract": contracts}
+    assert dict(calls) == {name: per[each] for name, each in CORPUS_HOOKS.items()}
+    # len() of the stream is the full token count, comments included
+    assert all(length == walked for length, walked, _ in token_counts)
+    assert sum(comments for _, _, comments in token_counts) > 0

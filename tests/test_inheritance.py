@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +100,22 @@ def test_deep_chain_does_not_recurse():
     assert g.dit(leaf) == depth - 1
     assert g.noa(leaf) == depth - 1
     assert g.nod(root) == depth - 1
+
+
+def test_deep_chain_builds_in_linear_time():
+    # NOA and NOD along a chain come from the base's and the child's counts,
+    # not from one ancestor walk per contract; the builder reads only the
+    # path and each contract's name and base names
+    depth = 10_000
+    contracts = [
+        SimpleNamespace(name=f"C{i}", base_names=[f"C{i - 1}"] if i else []) for i in range(depth)
+    ]
+    start = time.perf_counter()
+    g = build_inheritance_graph([SimpleNamespace(path="chain.sol", contracts=contracts)])
+    assert time.perf_counter() - start < 1.0
+    leaf, root = ("chain.sol", f"C{depth - 1}"), ("chain.sol", "C0")
+    assert (g.dit(leaf), g.noa(leaf), g.nod(leaf)) == (depth - 1, depth - 1, 0)
+    assert (g.dit(root), g.noa(root), g.nod(root)) == (0, 0, depth - 1)
 
 
 _NAMES = ("C0", "C1", "C2", "C3", "C4")

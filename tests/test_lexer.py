@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -62,6 +63,17 @@ def test_unterminated_string_carries_line():
     with pytest.raises(LexError) as exc:
         tokenize('x = "no end')
     assert exc.value.line == 1
+
+
+def test_unterminated_comment_ends_the_scan():
+    # the first unterminated comment takes the rest of the source with it,
+    # so the openers after it are not each scanned to the end of the file
+    src = "uint x;\n" + "/* " * 100_000
+    start = time.perf_counter()
+    with pytest.raises(LexError) as exc:
+        tokenize(src)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == "line 2: unterminated block comment"
 
 
 def test_string_with_escapes():

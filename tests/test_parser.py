@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NESTING_SHAPES, nested_source
 from golden_corpus import GOLDEN
+from solmetrics.errors import LexError
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import (
     ASSEMBLY_OPAQUE,
@@ -17,7 +18,14 @@ from solmetrics.nodes import (
     RETURN,
     UNCHECKED_BLOCK,
 )
-from solmetrics.parser import MAX_NESTING, parse_file, parse_source
+from solmetrics.parser import (
+    MAX_NESTING,
+    line_accounting,
+    normalized_contract_text,
+    parse_file,
+    parse_source,
+)
+from test_parse_pin import base_sources, mutate
 
 
 def statements_of(source: str, fn_index: int = 0):
@@ -150,6 +158,31 @@ def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
     head = tokens[:start]
     mutated = {"delete": head + rest, "duplicate": head + piece + piece + rest, "truncate": head}[op]
     parse_file(mutated, "mutant.sol")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(base_sources().values())),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_token_stream_and_token_list_parse_alike(source, mutated, rng):
+    # the lexer's stream is read through its code lists, a plain list of
+    # the same tokens through TokenStream.from_tokens
+    if mutated:
+        source = mutate(source, rng)
+    try:
+        stream = tokenize(source)
+    except LexError:
+        return
+    from_stream = parse_file(stream, "x.sol")
+    from_list = parse_file(list(stream), "x.sol")
+    assert from_stream == from_list  # contracts, diagnostics, pragma and imports
+    for contract in from_stream.contracts:
+        assert line_accounting(from_stream, contract) == line_accounting(from_list, contract)
+        assert normalized_contract_text(from_stream, contract) == normalized_contract_text(
+            from_list, contract
+        )
 
 
 def test_pragma_and_imports_recorded():
@@ -359,4 +392,4 @@ def test_units_compare_and_print_without_their_line_index():
     source = GOLDEN["inheritance_chain_depth_3"][0] + "\n// tail comment\n"
     unit = parse_source(source, "a.sol")
     assert unit == parse_source(source, "a.sol")
-    assert " lines=" not in repr(unit) and "TokenIndex" not in repr(unit)
+    assert " lines=" not in repr(unit) and "TokenStream" not in repr(unit)
