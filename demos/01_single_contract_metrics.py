@@ -8,7 +8,6 @@ from solmetrics import (
     METRIC_NAMES,
     build_inheritance_graph,
     contract_metrics,
-    function_metrics,
     line_accounting,
     parse_file,
     tokenize,
@@ -56,7 +55,7 @@ print(f"\nparsed {len(unit.contracts)} contracts, pragma = {unit.pragma!r}")
 
 # per-function detail for the second contract's recording function
 record_fn = unit.contracts[0].functions[1]
-fm = function_metrics(record_fn)
+fm = record_fn.metrics  # counted by the parser as it read the body
 print(f"\nfunction {record_fn.name!r}:")
 print(f"  cyclomatic = {fm.mccc} (strict {fm.mccc_strict}, the && counts once)")
 print(f"  nesting depth = {fm.nl}, statements = {fm.nos}, fan-out = {fm.noi}")

@@ -26,9 +26,8 @@ from .metrics import (
     ContractMetrics,
     FunctionMetrics,
     contract_metrics,
-    function_metrics,
 )
-from .nodes import ContractDef, FunctionDef, LineCounts, SourceUnit, Statement
+from .nodes import ContractDef, FunctionDef, LineCounts, SourceUnit
 from .parser import line_accounting, parse_file, parse_source
 
 # The statistics layer's names resolve at first access, so a command that
@@ -104,14 +103,12 @@ __all__ = [
     "RunConfig",
     "SourceUnit",
     "SpearmanResult",
-    "Statement",
     "TTestResult",
     "Token",
     "build_inheritance_graph",
     "contract_metrics",
     "correlation_matrix",
     "export_metrics",
-    "function_metrics",
     "import_metrics",
     "ingest",
     "line_accounting",

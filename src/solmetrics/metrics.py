@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .inheritance import InheritanceGraph
-from .nodes import (
-    BLOCK,
-    IF,
-    LOOP_KINDS,
-    NON_COUNTING_KINDS,
-    ContractDef,
-    FunctionDef,
-    LineCounts,
-)
+from .nodes import ContractDef, FunctionMetrics, LineCounts
 
 DISPLAY_NAMES: dict[str, str] = {
     "sloc": "SLOC",
@@ -44,17 +36,6 @@ DISPLAY_NAMES: dict[str, str] = {
     "avg_nos": "Avg. NOS",
     "avg_noi": "Avg. NOI",
 }
-
-
-@dataclass(frozen=True)
-class FunctionMetrics:
-    mccc: int
-    mccc_strict: int
-    nl: int
-    nle: int
-    numpar: int
-    nos: int
-    noi: int
 
 
 @dataclass(slots=True)
@@ -96,55 +77,6 @@ class ContractMetrics:
 METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(ContractMetrics))
 
 
-def function_metrics(fn: FunctionDef) -> FunctionMetrics:
-    """Cyclomatic complexity, nesting depths and statement/invocation counts
-    for one function. Bodyless declarations yield mccc 1 and zeros.
-
-    One loop over an explicit stack of (statement, NL depth, NLE depth), so
-    no nesting depth can exhaust the interpreter's recursion limit. The
-    sums and maxima do not depend on the order of the visits.
-    """
-    if fn.body is None:
-        return FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
-    decisions = logical = nos = noi = max_nl = max_nle = 0
-    top = fn.body.children if fn.body.kind == BLOCK else [fn.body]
-    stack = [(stmt, 0, 0) for stmt in top]
-    while stack:
-        stmt, nl, nle = stack.pop()
-        if stmt.kind not in NON_COUNTING_KINDS:
-            nos += 1
-        decisions += stmt.ternary_ops
-        logical += stmt.condition_ops
-        noi += stmt.invocations
-        if stmt.kind == IF:
-            decisions += 1
-            max_nl = max(max_nl, nl + 1)
-            max_nle = max(max_nle, nle + 1)
-            else_child = stmt.else_child
-            for child in stmt.children:
-                if child is else_child and child.kind == IF:
-                    # else-if continues the chain at its parent's depth
-                    stack.append((child, nl, nle))
-                else:
-                    stack.append((child, nl + 1, nle + 1))
-        elif stmt.kind in LOOP_KINDS:
-            decisions += 1
-            max_nl = max(max_nl, nl + 1)
-            stack.extend((child, nl + 1, nle) for child in stmt.children)
-        else:
-            stack.extend((child, nl, nle) for child in stmt.children)
-    mccc = 1 + decisions
-    return FunctionMetrics(
-        mccc=mccc,
-        mccc_strict=mccc + logical,
-        nl=max_nl,
-        nle=max_nle,
-        numpar=len(fn.params),
-        nos=nos,
-        noi=noi,
-    )
-
-
 def contract_metrics(
     contract: ContractDef,
     lines: LineCounts,
@@ -159,7 +91,7 @@ def contract_metrics(
     are zero for function-less contracts.
     """
     counted = [f for f in contract.functions if f.counts_as_function]
-    per_fn = [function_metrics(f) for f in counted]
+    per_fn: list[FunctionMetrics] = [f.metrics for f in counted]
     nf = len(counted)
     mccc_total = sum(m.mccc for m in per_fn)
     wmc = sum(m.mccc_strict for m in per_fn)

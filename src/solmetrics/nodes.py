@@ -1,12 +1,11 @@
 """Syntax tree for the supported Solidity subset.
 
 The tree keeps only what the metric definitions consume: declarations,
-parameter lists, and for each statement its kind, children, operator
-counts and invocation count. Anything outside the subset is swallowed as
-an opaque statement. A contract's ``span`` (inclusive 1-based lines) is the
-only line range kept; line accounting and dedupe read it, together with
-the file's :class:`~solmetrics.lexer.TokenStream` that a unit keeps as
-``lines``.
+parameter names, and for each function the :class:`FunctionMetrics` the
+parser counted over its body; no statement is kept. A contract's ``span``
+(inclusive 1-based lines) is the only line range kept; line accounting and
+dedupe read it, together with the file's
+:class:`~solmetrics.lexer.TokenStream` that a unit keeps as ``lines``.
 """
 
 from __future__ import annotations
@@ -15,56 +14,27 @@ from dataclasses import dataclass, field
 
 from .lexer import TokenStream
 
-# Statement kinds
-IF = "if"
-FOR = "for"
-WHILE = "while"
-DO_WHILE = "do-while"
-RETURN = "return"
-EMIT = "emit"
-EXPRESSION = "expression"
-BLOCK = "block"
-UNCHECKED_BLOCK = "unchecked-block"
-ASSEMBLY_OPAQUE = "assembly-opaque"
-BREAK = "break"
-CONTINUE = "continue"
-REQUIRE_LIKE = "require-like"
-
-LOOP_KINDS = frozenset({FOR, WHILE, DO_WHILE})
-
-# Statements that are neither conditional nor executable on their own.
-NON_COUNTING_KINDS = frozenset({BLOCK, UNCHECKED_BLOCK})
-
-
-@dataclass
-class Statement:
-    kind: str
-    children: list["Statement"] = field(default_factory=list)
-    condition_ops: int = 0
-    ternary_ops: int = 0
-    # calls other than the require/assert/revert guards
-    invocations: int = 0
-    # if-statements only: the last child is the else branch
-    has_else: bool = False
-
-    @property
-    def else_child(self) -> "Statement | None":
-        if self.kind == IF and self.has_else:
-            return self.children[-1]
-        return None
-
 
 @dataclass(frozen=True)
-class Param:
-    name: str
+class FunctionMetrics:
+    """One function's cyclomatic complexity (plain and strict), NL and NLE
+    nesting depths, and parameter, statement and invocation counts."""
+
+    mccc: int
+    mccc_strict: int
+    nl: int
+    nle: int
+    numpar: int
+    nos: int
+    noi: int
 
 
 @dataclass
 class FunctionDef:
     name: str | None
     kind: str  # function | constructor | fallback | receive | modifier-def
-    params: list[Param]
-    body: Statement | None
+    params: list[str]
+    metrics: FunctionMetrics
 
     @property
     def counts_as_function(self) -> bool:

@@ -11,6 +11,14 @@ The parser reads the comment-free kind, text and line lists of a
 :class:`~solmetrics.lexer.TokenStream` by index, so it builds no
 :class:`~solmetrics.lexer.Token`; the unit keeps the stream for line
 accounting and dedupe.
+
+No statement becomes a node. As the parser descends a function body it
+sums that function's decisions, condition operators, statements and
+invocations, and tracks its NL/NLE depth: a loop or ``if`` body is one
+level deeper, an ``else if`` stays at its parent's depth, and a ``{}``
+block or ``unchecked`` wrapper counts as no statement. Each
+:class:`~solmetrics.nodes.FunctionDef` carries the finished
+:class:`~solmetrics.nodes.FunctionMetrics`.
 """
 
 from __future__ import annotations
@@ -29,27 +37,13 @@ from .lexer import (
     tokenize,
 )
 from .nodes import (
-    ASSEMBLY_OPAQUE,
-    BLOCK,
-    BREAK,
-    CONTINUE,
-    DO_WHILE,
-    EMIT,
-    EXPRESSION,
-    FOR,
-    IF,
-    REQUIRE_LIKE,
-    RETURN,
-    UNCHECKED_BLOCK,
-    WHILE,
     ContractDef,
     Diagnostic,
     FunctionDef,
+    FunctionMetrics,
     LineCounts,
-    Param,
     SourceUnit,
     StateVarDecl,
-    Statement,
 )
 
 # Deepest nesting of statements inside one function body. Each level costs
@@ -57,6 +51,9 @@ from .nodes import (
 # recursion limit wherever the parser is called from, and a contract parses
 # or fails the same way in-process and in a pool worker.
 MAX_NESTING = 200
+
+# A declaration without a body: McCC 1, and every count 0, NUMPAR included.
+_BODYLESS = FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
 
 _GUARD_NAMES = frozenset({"require", "assert", "revert"})
 _CONTRACT_KINDS = frozenset({"contract", "interface", "library"})
@@ -98,7 +95,9 @@ class _Cursor:
     ``depth`` counts the statements being parsed inside one another,
     ``item_line`` is the first line of the top-level item being parsed, and
     ``type_refs`` is the :attr:`ContractDef.type_refs` of the contract being
-    parsed.
+    parsed. The rest are the running sums of the function body being
+    parsed: decisions, condition logical operators, statements and
+    invocations, and the current and deepest NL and NLE levels.
     """
 
     def __init__(self, stream: TokenStream):
@@ -111,6 +110,8 @@ class _Cursor:
         self.depth = 0
         self.item_line = 1
         self.type_refs: set[str] = set()
+        self.decisions = self.logical = self.nos = self.noi = 0
+        self.nl = self.nle = self.max_nl = self.max_nle = 0
 
     def advance(self) -> int:
         """Consume the token at the cursor; returns its index."""
@@ -319,46 +320,63 @@ def _take_name(cur: _Cursor) -> str:
 # statements
 
 
-def _parse_block(cur: _Cursor) -> Statement:
+def _count(cur: _Cursor, invocations: int = 0, decisions: int = 0, logical: int = 0) -> None:
+    """Count one statement toward NOS, with its invocations toward NOI, its
+    branches (the statement's own and its ternaries) toward McCC, and the
+    logical operators of its condition toward strict McCC."""
+    cur.nos += 1
+    cur.noi += invocations
+    cur.decisions += decisions
+    cur.logical += logical
+
+
+def _parse_nested(cur: _Cursor, nle: int) -> None:
+    """Parse a loop or ``if`` body one NL level deeper, and ``nle`` NLE levels."""
+    cur.nl += 1
+    cur.nle += nle
+    cur.max_nl = max(cur.max_nl, cur.nl)
+    cur.max_nle = max(cur.max_nle, cur.nle)
+    _parse_statement(cur)
+    cur.nl -= 1
+    cur.nle -= nle
+
+
+def _parse_block(cur: _Cursor) -> None:
+    """A `{...}` block; it counts as no statement and nests no deeper."""
     opener = cur.advance()  # '{'
-    children: list[Statement] = []
     while not cur.check("}"):
         if cur.i == cur.n:
             raise ParseError("unbalanced '{'", cur.starts[opener])
-        children.append(_parse_statement(cur))
+        _parse_statement(cur)
     cur.advance()
-    return Statement(BLOCK, children)
 
 
-def _generic_after(cur: _Cursor, kw: int) -> Statement:
+def _generic_after(cur: _Cursor, kw: int) -> None:
     """A keyword statement missing its opener, parsed as a generic statement
     that starts at the keyword (index ``kw``, just consumed)."""
     _, end, _ = _collect_generic_run(cur)
-    return _finish_generic(cur, kw, end)
+    _finish_generic(cur, kw, end)
 
 
-def _parse_conditional(cur: _Cursor) -> Statement:
-    """`if (...) S [else S]` or `while (...) S`."""
+def _parse_conditional(cur: _Cursor) -> None:
+    """`if (...) S [else S]` or `while (...) S`. An `else if` keeps its
+    parent's depth."""
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
     invocations, logical, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
-    children = [_parse_statement(cur)]
-    is_if = cur.texts[kw] == "if"
-    has_else = is_if and cur.match("else")
-    if has_else:
-        children.append(_parse_statement(cur))
-    return Statement(
-        IF if is_if else WHILE,
-        children,
-        condition_ops=logical,
-        ternary_ops=ternaries,
-        invocations=invocations,
-        has_else=has_else,
-    )
+    _count(cur, invocations, 1 + ternaries, logical)
+    if cur.texts[kw] != "if":
+        return _parse_nested(cur, 0)
+    _parse_nested(cur, 1)
+    if cur.match("else"):
+        if cur.check("if"):
+            _parse_statement(cur)
+        else:
+            _parse_nested(cur, 1)
 
 
-def _parse_for(cur: _Cursor) -> Statement:
+def _parse_for(cur: _Cursor) -> None:
     kw = cur.advance()
     if not cur.check("("):
         return _generic_after(cur, kw)
@@ -366,27 +384,27 @@ def _parse_for(cur: _Cursor) -> Statement:
     clauses = _split_top(cur, lo, hi, ";")
     invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
     logical = _scan_expression(cur, *clauses[1], set())[1] if len(clauses) > 1 else 0
-    return Statement(FOR, [_parse_statement(cur)], logical, ternaries, invocations)
+    _count(cur, invocations, 1 + ternaries, logical)
+    _parse_nested(cur, 0)
 
 
-def _parse_do_while(cur: _Cursor) -> Statement:
+def _parse_do_while(cur: _Cursor) -> None:
     cur.advance()
-    body = _parse_statement(cur)
+    _parse_nested(cur, 0)
     invocations = logical = ternaries = 0
     if cur.match("while") and cur.check("("):
         invocations, logical, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
     cur.match(";")
-    return Statement(DO_WHILE, [body], logical, ternaries, invocations)
+    _count(cur, invocations, 1 + ternaries, logical)
 
 
-def _parse_return(cur: _Cursor) -> Statement:
+def _parse_return(cur: _Cursor) -> None:
     cur.advance()
     lo, hi, _ = _collect_generic_run(cur)
-    invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
-    return Statement(RETURN, ternary_ops=ternaries, invocations=invocations)
+    _finish_generic(cur, lo, hi)
 
 
-def _parse_named_call(cur: _Cursor) -> Statement:
+def _parse_named_call(cur: _Cursor) -> None:
     """`emit E(...)` or a `require`/`assert`/`revert` guard.
 
     Neither the guard nor an event or custom error name is an invocation;
@@ -399,30 +417,26 @@ def _parse_named_call(cur: _Cursor) -> Statement:
     if cur.check("("):
         invocations, _, ternaries = _scan_expression(cur, *_paren_inner(cur), cur.type_refs)
     cur.match(";")
-    return Statement(
-        EMIT if kw == "emit" else REQUIRE_LIKE,
-        ternary_ops=ternaries,
-        invocations=invocations,
-    )
+    _count(cur, invocations, ternaries)
 
 
-def _parse_unchecked(cur: _Cursor) -> Statement:
+def _parse_unchecked(cur: _Cursor) -> None:
     kw = cur.advance()
     if not cur.check("{"):
         return _generic_after(cur, kw)
-    return Statement(UNCHECKED_BLOCK, _parse_block(cur).children)
+    _parse_block(cur)
 
 
-def _parse_assembly(cur: _Cursor) -> Statement:
+def _parse_assembly(cur: _Cursor) -> None:
     cur.advance()
     if _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
     else:
         cur.match(";")
-    return Statement(ASSEMBLY_OPAQUE)
+    _count(cur)
 
 
-def _parse_try(cur: _Cursor) -> Statement:
+def _parse_try(cur: _Cursor) -> None:
     cur.advance()
     depth = 0
     while cur.i < cur.n:
@@ -443,31 +457,36 @@ def _parse_try(cur: _Cursor) -> Statement:
         cur.advance()
     while cur.match("catch") and _skip_to_brace(cur):
         _collect_balanced(cur, "{", "}")
-    return Statement(ASSEMBLY_OPAQUE)
+    _count(cur)
 
 
-def _parse_jump(cur: _Cursor) -> Statement:
-    kw = cur.texts[cur.advance()]
+def _parse_jump(cur: _Cursor) -> None:
+    cur.advance()
     cur.match(";")
-    return Statement(BREAK if kw == "break" else CONTINUE)
+    _count(cur)
 
 
-def _parse_simple(cur: _Cursor) -> Statement:
+def _parse_simple(cur: _Cursor) -> None:
     """A pragma, an expression or declaration, an empty statement, or an
     unknown block construct swallowed as opaque."""
     if cur.kinds[cur.i] == PRAGMA_DIRECTIVE:
         cur.advance()
-        return Statement(EXPRESSION)
+        _count(cur)
+        return
     lo, hi, opaque = _collect_generic_run(cur)
-    return Statement(ASSEMBLY_OPAQUE) if opaque else _finish_generic(cur, lo, hi)
+    if opaque:
+        _count(cur)
+    else:
+        _finish_generic(cur, lo, hi)
 
 
-def _finish_generic(cur: _Cursor, lo: int, hi: int) -> Statement:
+def _finish_generic(cur: _Cursor, lo: int, hi: int) -> None:
     invocations, _, ternaries = _scan_expression(cur, lo, hi, cur.type_refs)
-    return Statement(EXPRESSION, ternary_ops=ternaries, invocations=invocations)
+    _count(cur, invocations, ternaries)
 
 
-# Statements introduced by a keyword or a brace; each text is always one token kind.
+# The parser of each statement a keyword or a brace introduces; each text is
+# always one token kind.
 _STATEMENT_PARSERS = {
     "{": _parse_block,
     "if": _parse_conditional,
@@ -484,7 +503,7 @@ _STATEMENT_PARSERS = {
 }
 
 
-def _parse_statement(cur: _Cursor) -> Statement:
+def _parse_statement(cur: _Cursor) -> None:
     i = cur.i
     if i == cur.n:
         raise ParseError("unexpected end of file in statement", cur.starts[i])
@@ -501,9 +520,8 @@ def _parse_statement(cur: _Cursor) -> Statement:
     ):
         parse = _parse_named_call
     cur.depth += 1
-    stmt = (parse or _parse_simple)(cur)
+    (parse or _parse_simple)(cur)
     cur.depth -= 1
-    return stmt
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +583,30 @@ def _typed_items(cur: _Cursor) -> list[str]:
     return names
 
 
+def _parse_body(cur: _Cursor, numpar: int) -> FunctionMetrics:
+    """Parse a function body, counting its metrics on the cursor."""
+    cur.decisions = cur.logical = cur.nos = cur.noi = 0
+    cur.nl = cur.nle = cur.max_nl = cur.max_nle = 0
+    _parse_block(cur)
+    mccc = 1 + cur.decisions
+    return FunctionMetrics(
+        mccc, mccc + cur.logical, cur.max_nl, cur.max_nle, numpar, cur.nos, cur.noi
+    )
+
+
 def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
     cur.advance()  # function/constructor/fallback/receive/modifier
     name: str | None = None
     if kind in ("function", "modifier-def") and cur.kinds[cur.i] in (IDENTIFIER, KEYWORD):
         name = cur.texts[cur.advance()]
-    params: list[Param] = []
+    params: list[str] = []
     if cur.check("("):
-        params = [Param(param) for param in _typed_items(cur)]
-    body: Statement | None = None
+        params = _typed_items(cur)
+    metrics = _BODYLESS
     while cur.i < cur.n:
         text = cur.texts[cur.i]
         if text == "{":
-            body = _parse_block(cur)
+            metrics = _parse_body(cur, len(params))
             break
         if text == ";":
             cur.advance()
@@ -595,7 +624,7 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
                 _collect_balanced(cur, "(", ")")
         else:
             cur.advance()
-    return FunctionDef(name, kind, params, body)
+    return FunctionDef(name, kind, params, metrics)
 
 
 def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:

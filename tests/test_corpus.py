@@ -25,7 +25,7 @@ from solmetrics.corpus import (
 from solmetrics.errors import CorpusError
 from solmetrics.inheritance import build_inheritance_graph
 from solmetrics.lexer import tokenize
-from solmetrics.nodes import ContractDef, FunctionDef, SourceUnit, Statement
+from solmetrics.nodes import ContractDef, FunctionDef, FunctionMetrics, SourceUnit
 from solmetrics.parser import parse_source
 
 SIMPLE = "contract Token {\n  uint supply;\n  function mint() public { supply += 1; }\n}"
@@ -246,7 +246,7 @@ def test_parse_result_carries_no_parse_tree(tmp_path):
     result = _parse_sol_file((str(tmp_path), "a.sol"))
     assert [c.name for c in result.contracts] == ["Token", "Vault"]
     data = pickle.dumps(result)
-    for cls in (SourceUnit, ContractDef, FunctionDef, Statement):
+    for cls in (SourceUnit, ContractDef, FunctionDef, FunctionMetrics):
         assert cls.__name__.encode() not in data
 
 

@@ -7,17 +7,7 @@ from conftest import NESTING_SHAPES, nested_source
 from golden_corpus import GOLDEN
 from solmetrics.errors import LexError
 from solmetrics.lexer import tokenize
-from solmetrics.nodes import (
-    ASSEMBLY_OPAQUE,
-    BLOCK,
-    DO_WHILE,
-    EMIT,
-    EXPRESSION,
-    IF,
-    REQUIRE_LIKE,
-    RETURN,
-    UNCHECKED_BLOCK,
-)
+from solmetrics.nodes import FunctionMetrics
 from solmetrics.parser import (
     MAX_NESTING,
     line_accounting,
@@ -25,22 +15,10 @@ from solmetrics.parser import (
     parse_file,
     parse_source,
 )
+from test_function_metrics import fn_metrics
 from test_parse_pin import base_sources, mutate
 
-
-def statements_of(source: str, fn_index: int = 0):
-    unit = parse_source(source)
-    return unit.contracts[0].functions[fn_index].body.children
-
-
-def flatten(stmts):
-    out = []
-    stack = list(stmts)
-    while stack:
-        s = stack.pop(0)
-        out.append(s)
-        stack = list(s.children) + stack
-    return out
+BODYLESS = FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
 
 
 def test_empty_contract():
@@ -65,11 +43,8 @@ def test_nested_if_structure():
     unit = parse_source("contract A { function f() public { if (true) { x = 1; } } }")
     c = unit.contracts[0]
     assert len(c.functions) == 1
-    body = c.functions[0].body
-    assert [s.kind for s in body.children] == [IF]
-    if_stmt = body.children[0]
-    assert [s.kind for s in if_stmt.children] == [BLOCK]
-    assert [s.kind for s in if_stmt.children[0].children] == [EXPRESSION]
+    # the if and the assignment count, the block between them does not
+    assert c.functions[0].metrics == FunctionMetrics(2, 2, 1, 1, 0, 2, 0)
 
 
 def test_parse_recovery_keeps_good_contract():
@@ -211,7 +186,7 @@ def test_function_kinds_and_params():
     fns = unit.contracts[0].functions
     assert [f.kind for f in fns] == ["constructor", "fallback", "receive", "modifier-def", "function"]
     act = fns[-1]
-    assert [p.name for p in act.params] == ["to", "amount", "e"]
+    assert act.params == ["to", "amount", "e"]
     # elementary types are keywords; a name after '.' is a member, not a contract
     assert unit.contracts[0].type_refs == {"Lib", "Vault"}
 
@@ -219,8 +194,8 @@ def test_function_kinds_and_params():
 def test_unnamed_interface_params():
     unit = parse_source("interface I { function f(uint, address) external; }")
     fn = unit.contracts[0].functions[0]
-    assert fn.body is None
-    assert [p.name for p in fn.params] == ["", ""]
+    assert fn.metrics == BODYLESS
+    assert fn.params == ["", ""]
 
 
 def test_contract_level_declarations():
@@ -240,115 +215,90 @@ def test_contract_level_declarations():
     assert c.declaration_count == 6
 
 
+# A statement of each kind, and the (mccc, nl, nle, nos) of a function holding it
+_STATEMENT_KINDS = [
+    ("uint x = 1;", (1, 0, 0, 1)),
+    ("x = 2;", (1, 0, 0, 1)),
+    ("if (x > 0) { x = 3; } else { x = 4; }", (2, 1, 1, 3)),
+    ("for (uint i = 0; i < 3; i++) { continue; }", (2, 1, 0, 2)),
+    ("while (x > 0) { break; }", (2, 1, 0, 2)),
+    ("do { x--; } while (x > 0);", (2, 1, 0, 2)),
+    ("unchecked { x += 1; }", (1, 0, 0, 1)),
+    ('require(x == 0, "x");', (1, 0, 0, 1)),
+    ("emit Done(x);", (1, 0, 0, 1)),
+    ("assembly { let y := 1 }", (1, 0, 0, 1)),
+    ("return;", (1, 0, 0, 1)),
+    ("{ x = 1; y = 2; }", (1, 0, 0, 2)),
+]
+
+
 def test_statement_kinds():
-    src = """contract A { function f() public {
-        uint x = 1;
-        x = 2;
-        if (x > 0) { x = 3; } else { x = 4; }
-        for (uint i = 0; i < 3; i++) { continue; }
-        while (x > 0) { break; }
-        do { x--; } while (x > 0);
-        unchecked { x += 1; }
-        require(x == 0, "x");
-        emit Done(x);
-        assembly { let y := 1 }
-        return;
-    } }"""
-    kinds = [s.kind for s in statements_of(src)]
-    assert kinds == [
-        EXPRESSION,
-        EXPRESSION,
-        IF,
-        "for",
-        "while",
-        DO_WHILE,
-        UNCHECKED_BLOCK,
-        REQUIRE_LIKE,
-        EMIT,
-        ASSEMBLY_OPAQUE,
-        RETURN,
-    ]
+    for statement, expected in _STATEMENT_KINDS:
+        m = fn_metrics(statement)
+        assert (m.mccc, m.nl, m.nle, m.nos) == expected, statement
+    # side by side in one body, each still parses as its own statement
+    m = fn_metrics(" ".join(statement for statement, _ in _STATEMENT_KINDS))
+    decisions = sum(mccc - 1 for _, (mccc, _, _, _) in _STATEMENT_KINDS)
+    nos = sum(nos for _, (_, _, _, nos) in _STATEMENT_KINDS)
+    assert (m.mccc, m.nl, m.nle, m.nos) == (1 + decisions, 1, 1, nos)
 
 
 def test_try_catch_swallowed_as_opaque():
-    src = """contract A { function f() public {
-        try other.run() returns (uint v) { x = v; } catch { x = 0; }
-        x = 1;
-    } }"""
-    kinds = [s.kind for s in statements_of(src)]
-    assert kinds == [ASSEMBLY_OPAQUE, EXPRESSION]
+    m = fn_metrics("try other.run() returns (uint v) { x = v; } catch { x = 0; } x = 1;")
+    # the try is one statement; neither its call nor its clauses count
+    assert (m.mccc, m.nos, m.noi) == (1, 2, 0)
 
 
 def test_condition_ops_counted_in_conditions_only():
-    src = """contract A { function f() public {
-        if (a && b || c) { x = 1; }
-        ok = a && b;
-    } }"""
-    stmts = statements_of(src)
-    assert stmts[0].condition_ops == 2
-    assert stmts[1].condition_ops == 0
+    in_condition = fn_metrics("if (a && b || c) { x = 1; }")
+    assert in_condition.mccc_strict - in_condition.mccc == 2
+    in_assignment = fn_metrics("ok = a && b;")
+    assert in_assignment.mccc_strict == in_assignment.mccc == 1
 
 
 def test_ternary_ops_counted():
-    src = "contract A { function f() public { x = a > b ? a : b; } }"
-    assert statements_of(src)[0].ternary_ops == 1
+    assert fn_metrics("x = a > b ? a : b;").mccc == 2
 
 
 def test_call_sites_and_guards():
-    src = """contract A { function f() public {
-        require(check(x), "m");
-        assert(ok);
-        token.transfer(to, 1);
-        y = new Vault(x);
-    } }"""
-    stmts = statements_of(src)
     # the guard is not an invocation, a call nested in its arguments is
-    assert stmts[0].invocations == 1
-    assert stmts[1].invocations == 0
+    assert fn_metrics('require(check(x), "m");').noi == 1
+    assert fn_metrics("assert(ok);").noi == 0
     # a dotted path is one invocation
-    assert stmts[2].invocations == 1
+    assert fn_metrics("token.transfer(to, 1);").noi == 1
     # `new X(...)` is an invocation, and X is a name the contract refers to
-    assert stmts[3].invocations == 1
+    assert fn_metrics("y = new Vault(x);").noi == 1
+    src = "contract A { function f() public { y = new Vault(x); } }"
     assert parse_source(src).contracts[0].type_refs == {"Vault"}
 
 
 def test_cast_is_not_a_call():
-    src = "contract A { function f() public { x = uint(y) + address(this).balance; } }"
-    assert statements_of(src)[0].invocations == 0
+    assert fn_metrics("x = uint(y) + address(this).balance;").noi == 0
 
 
 def test_call_options_braces():
-    src = 'contract A { function f() public { target.call{value: 1}(""); } }'
-    assert statements_of(src)[0].invocations == 1
+    assert fn_metrics('target.call{value: 1}("");').noi == 1
 
 
 def test_revert_without_parens():
-    src = "contract A { function f() public { revert; } }"
-    assert [s.kind for s in statements_of(src)] == [REQUIRE_LIKE]
+    m = fn_metrics("revert;")
+    assert (m.nos, m.noi) == (1, 0)
 
 
 def test_revert_custom_error():
-    src = "contract A { function f() public { revert NotAllowed(msg.sender); } }"
-    stmts = statements_of(src)
-    assert stmts[0].kind == REQUIRE_LIKE
-    assert stmts[0].invocations == 0
+    # the error name is no invocation
+    m = fn_metrics("revert NotAllowed(msg.sender);")
+    assert (m.nos, m.noi) == (1, 0)
 
 
 def test_emit_event_name_not_an_invocation():
-    src = "contract A { function f() public { emit Done(compute(x)); } }"
-    assert statements_of(src)[0].invocations == 1
+    assert fn_metrics("emit Done(compute(x));").noi == 1
 
 
 def test_loop_header_invocations():
-    src = """contract A { function f() public {
-        for (uint i = start(); i < size(); i = next(i)) {}
-        do { x = 1; } while (more(x));
-        while (ready()) {}
-    } }"""
-    loop, do_while, while_loop = statements_of(src)
-    assert (loop.invocations, do_while.invocations, while_loop.invocations) == (3, 1, 1)
-    # the loop bodies hold no call
-    assert [s.invocations for s in loop.children + do_while.children] == [0, 0]
+    assert fn_metrics("for (uint i = start(); i < size(); i = next(i)) {}").noi == 3
+    assert fn_metrics("do { x = 1; } while (more(x));").noi == 1
+    assert fn_metrics("while (ready()) {}").noi == 1
 
 
 def test_file_level_items_skipped():
@@ -385,7 +335,7 @@ def test_abstract_contract_header():
     unit = parse_source("abstract contract A is B { function f() public virtual; }")
     c = unit.contracts[0]
     assert c.name == "A" and c.base_names == ["B"]
-    assert c.functions[0].body is None
+    assert c.functions[0].metrics == BODYLESS
 
 
 def test_units_compare_and_print_without_their_line_index():

@@ -246,7 +246,8 @@ def test_deeply_nested_expression_statements():
     body = "x = ((((a + b) * (c - d)) / ((e | f) & g)) ^ (h % i));"
     unit = parse_source(f"contract T {{ function f() public {{ {body} }} }}")
     fn = unit.contracts[0].functions[0]
-    assert len(fn.body.children) == 1
+    # one statement, and no parenthesized group reads as a call
+    assert (fn.metrics.nos, fn.metrics.noi) == (1, 0)
 
 
 def test_struct_with_mapping_member_opaque():
