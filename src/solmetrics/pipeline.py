@@ -7,9 +7,9 @@ rq3: discriminative power via paired t-tests on a seeded size-matched
      column.
 rq4: per-group mean confidence intervals and their direction.
 
-Each analysis reads the metric columns of :class:`MetricColumns`, plain
-lists over all rows and split by label. :func:`run_analysis` builds them
-once and hands them to all four.
+Each analysis reads the metric columns of :class:`MetricColumns`, over all
+rows and split by label. :func:`run_analysis` builds them once and hands
+them to all four, which share each column's ranks and moments.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .metrics import METRIC_NAMES
 from .stats import (
     ConfidenceInterval,
     CorrelationMatrix,
+    Sample,
     SpearmanResult,
     TTestResult,
     correlation_matrix,
@@ -119,17 +120,17 @@ class AnalysisReport:
 
 @dataclass(frozen=True)
 class MetricColumns:
-    """The metric columns of a labeled set, in ``METRIC_NAMES`` order.
+    """The metric columns of a labeled set, as :class:`Sample`s in ``METRIC_NAMES`` order.
 
     ``pooled`` holds each metric over all rows, ``vulnerable`` and
     ``neutral`` over the rows of one label; ``labels`` is 1 for a
     vulnerable row and 0 for a neutral one.
     """
 
-    labels: list[int]
-    pooled: list[tuple]
-    vulnerable: list[tuple]
-    neutral: list[tuple]
+    labels: Sample
+    pooled: list[Sample]
+    vulnerable: list[Sample]
+    neutral: list[Sample]
     n_vulnerable: int
     n_neutral: int
 
@@ -141,15 +142,17 @@ def metric_columns(data: LabeledContractSet | MetricColumns) -> MetricColumns:
     row_of = attrgetter(*METRIC_NAMES)
     table = [row_of(r.metrics) for r in data.rows]
     flags = [r.label == LABEL_VULNERABLE for r in data.rows]
-    vulnerable = list(compress(table, flags))
-    neutral = list(compress(table, [not f for f in flags]))
+    pooled, vulnerable, neutral = (
+        [Sample(col, name) for name, col in zip(METRIC_NAMES, zip(*rows))]
+        for rows in (table, compress(table, flags), compress(table, [not f for f in flags]))
+    )
     return MetricColumns(
-        labels=[1 if f else 0 for f in flags],
-        pooled=list(zip(*table)),
-        vulnerable=list(zip(*vulnerable)),
-        neutral=list(zip(*neutral)),
-        n_vulnerable=len(vulnerable),
-        n_neutral=len(neutral),
+        labels=Sample(map(int, flags), "y"),
+        pooled=pooled,
+        vulnerable=vulnerable,
+        neutral=neutral,
+        n_vulnerable=sum(flags),
+        n_neutral=len(flags) - sum(flags),
     )
 
 
@@ -218,12 +221,12 @@ def rq3_discriminative(
         raise InputError("rq3 needs at least 2 vulnerable rows")
     if n_neut < n_vuln:
         raise InputError("rq3 needs at least as many neutral rows as vulnerable rows")
-    sample = random.Random(seed).sample(range(n_neut), n_vuln)
+    draw = random.Random(seed).sample(range(n_neut), n_vuln)
     rows = []
     for name, vuln_col, neut_col in zip(METRIC_NAMES, columns.vulnerable, columns.neutral):
         degenerate = False
         try:
-            paired = paired_t_test(vuln_col, list(map(neut_col.__getitem__, sample)))
+            paired = paired_t_test(vuln_col, list(map(neut_col.values.__getitem__, draw)))
         except DegenerateInputError:
             paired = None
             degenerate = True

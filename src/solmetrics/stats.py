@@ -17,9 +17,10 @@ found by Newton steps on that CDF.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import mul, sub
 
@@ -78,97 +79,106 @@ class CorrelationMatrix:
         return self.entries[i][j]
 
 
-def _finite(values, name: str = "values") -> tuple[list, float]:
-    """``values`` as a non-empty list, with their ``math.fsum``.
-
-    A NaN or an infinity makes that sum non-finite or raises, as does a sum
-    beyond the float range; each raises :class:`InputError`.
+class Sample:
+    """Numbers with the summaries the statistics read: ``total``, ``moments``
+    and ``ranks``, each computed on its first read and kept. Each checks what
+    it reads and raises :class:`InputError` under ``name``. Analyses that read
+    one column share its Sample, so it is checked, summed and ranked once.
     """
-    xs = list(values)
-    if not xs:
-        raise InputError(f"{name} must be non-empty")
-    try:
-        total = math.fsum(xs)
-    except (OverflowError, ValueError):  # a sum or an int past the float range; inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise InputError(f"{name} contains a non-finite value or sums past the float range")
-    return xs, total
 
+    def __init__(self, values, name: str = "values"):
+        self.values = tuple(values)
+        self.name = name
 
-def _tallied(values, name: str = "values") -> tuple[list, Counter]:
-    """``values`` as a non-empty list of finite numbers, with the multiplicity
-    of each distinct value.
+    @classmethod
+    def of(cls, values, name: str = "values") -> Sample:
+        """``values`` if it is a Sample already, else a new Sample of them."""
+        return values if isinstance(values, cls) else cls(values, name)
 
-    Only the distinct values need the finiteness check: a NaN or an
-    infinity is one of them.
-    """
-    xs = list(values)
-    if not xs:
-        raise InputError(f"{name} must be non-empty")
-    counts = Counter(xs)
-    try:
-        finite = all(map(math.isfinite, counts))
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise InputError(f"{name} contains a non-finite value")
-    return xs, counts
+    @cached_property
+    def total(self) -> float:
+        """The fsum of the values; :class:`InputError` if there are none, if one
+        is a NaN or an infinity, or if they sum past the float range."""
+        if not self.values:
+            raise InputError(f"{self.name} must be non-empty")
+        try:
+            total = math.fsum(self.values)
+        except (OverflowError, ValueError):  # a sum or an int past the float range; inf - inf
+            total = math.nan
+        if math.isfinite(total):
+            return total
+        raise InputError(f"{self.name} contains a non-finite value or sums past the float range")
 
+    @cached_property
+    def moments(self) -> tuple[float, float, float]:
+        """The mean, the n - 1 variance of the values times ``scale`` squared,
+        and ``scale``, for at least two values.
 
-def _doubled_ranks(counts: Counter, n: int) -> dict[float, int]:
-    """The doubled centred average rank 2r - (n + 1) of each distinct value.
+        The standard deviation is sqrt(variance)/scale. As in Blue's scaled
+        norm (ACM TOMS 1978), a widest deviation between 2^-200 and 2^200
+        goes unscaled: its square, and a Welch df's square of a variance,
+        stay in the float range. Any other is scaled by the power of two that
+        takes it into [1/2, 1) before squaring, so no square that counts
+        underflows. A sample of variance 0 gets the largest scale, so a scale
+        shared with another sample is that one's.
 
-    ``counts`` maps each value of an n-vector to its multiplicity. A tie
-    group of c values ending at 1-based position e has mean rank
-    e - (c - 1)/2, so its doubled centred rank 2e - c - n is an integer.
-    """
-    doubled = {}
-    end = 0
-    for v in sorted(counts):
-        c = counts[v]
-        end += c
-        doubled[v] = 2 * end - c - n
-    return doubled
+        total/n rounds twice, which would leave a constant sample such as
+        three 0.1 with a mean one rounding off its value and a variance
+        above 0. So fsum also gives the drift n (true mean - total/n) to one
+        rounding; it moves the mean onto the true one wherever that is a
+        float, and its square over n is the part of the squared deviations
+        from total/n that the true mean does not have (the corrected
+        two-pass form).
+        """
+        xs = self.values
+        n = len(xs)
+        mean = self.total / n
+        drift = math.fsum(chain(xs, repeat(-mean, n)))
+        widest = max(max(xs) - mean, mean - min(xs), sys.float_info.min)
+        scale = 1.0 if 2.0**-200 <= widest <= 2.0**200 else math.ldexp(1.0, -math.frexp(widest)[1])
+        deviations = [(v - mean) * scale for v in xs]
+        scaled_drift = drift * scale
+        square_sum = math.fsum(map(mul, deviations, deviations)) - scaled_drift * scaled_drift / n
+        variance = max(0.0, square_sum) / (n - 1)
+        return mean + drift / n, variance, scale if variance else 2.0**1021
 
-
-def _centred_ranks(xs: list, counts: Counter) -> tuple[list[float], int] | None:
-    """The doubled centred ranks of ``xs`` with their sum of squares; None if
-    ``xs`` is constant. The ranks are integers held as floats, which
-    math.dist reads fastest."""
-    if len(counts) == 1:
-        return None
-    doubled = _doubled_ranks(counts, len(xs))
-    sum_sq = sum(c * doubled[v] ** 2 for v, c in counts.items())
-    as_float = {v: float(r) for v, r in doubled.items()}
-    return list(map(as_float.__getitem__, xs)), sum_sq
+    @cached_property
+    def ranks(self) -> tuple[list[float], int]:
+        """The doubled centred average rank 2r - (n + 1) of each value, as a
+        float (which math.dist reads fastest), and their sum of squares: 0 for
+        a constant sample. A tie group of c values ending at 1-based position
+        e has mean rank e - (c - 1)/2, so its doubled centred rank 2e - c - n
+        is an integer. Only the distinct values need the finiteness check: a
+        NaN or an infinity is one of them."""
+        xs = self.values
+        if not xs:
+            raise InputError(f"{self.name} must be non-empty")
+        counts = Counter(xs)
+        try:
+            finite = all(map(math.isfinite, counts))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise InputError(f"{self.name} contains a non-finite value")
+        n = len(xs)
+        doubled = {}
+        sum_sq = end = 0
+        for v in sorted(counts):
+            c = counts[v]
+            end += c
+            r = 2 * end - c - n
+            doubled[v] = float(r)
+            sum_sq += c * r * r
+        return list(map(doubled.__getitem__, xs)), sum_sq
 
 
 def rank(values) -> RankedVector:
     """Average ranks (1-based); tied values share the mean of their positions."""
-    xs, counts = _tallied(values)
-    n = len(xs)
-    doubled = _doubled_ranks(counts, n)
-    ranks = tuple((doubled[v] + n + 1) / 2 for v in xs)
-    return RankedVector(tuple(map(float, xs)), ranks, n)
-
-
-def _mean_variance(xs: list, total: float) -> tuple[float, float]:
-    """The mean and the n - 1 variance of at least two values with fsum ``total``.
-
-    total/n rounds twice, which would leave a constant sample such as three
-    0.1 with a mean one rounding off its value and a variance above 0. So
-    fsum also gives the drift n (true mean - total/n) to one rounding; it
-    moves the mean onto the true one wherever that is a float, and its
-    square over n is the part of the squared deviations from total/n that
-    the true mean does not have (the corrected two-pass form).
-    """
-    n = len(xs)
-    mean = total / n
-    drift = math.fsum(chain(xs, repeat(-mean, n)))
-    deviations = [v - mean for v in xs]
-    square_sum = math.fsum(map(mul, deviations, deviations)) - drift * drift / n
-    return mean + drift / n, max(0.0, square_sum) / (n - 1)
+    sample = Sample.of(values)
+    doubled, _ = sample.ranks
+    n = len(doubled)
+    ranks = tuple((r + n + 1) / 2 for r in doubled)
+    return RankedVector(tuple(map(float, sample.values)), ranks, n)
 
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -396,7 +406,7 @@ def _strength(rho: float) -> str:
 def _rank_correlation(
     x: tuple[list[float], int], y: tuple[list[float], int], alpha: float
 ) -> SpearmanResult:
-    """Spearman result for two :func:`_centred_ranks` of one length n >= 3.
+    """Spearman result for two non-constant :attr:`Sample.ranks` of one length n >= 3.
 
     The rank sums of products are exact integers, and the doubling cancels
     exactly in rho.
@@ -421,55 +431,56 @@ def _rank_correlation(
 
 def spearman(x, y, alpha: float = SIGNIFICANCE_DEFAULT) -> SpearmanResult:
     """Tie-aware Spearman rank correlation with a Student-t significance test."""
-    ax, x_counts = _tallied(x, "x")
-    ay, y_counts = _tallied(y, "y")
-    if len(ax) != len(ay):
+    x, y = Sample.of(x, "x"), Sample.of(y, "y")
+    rx, ry = x.ranks, y.ranks
+    if len(x.values) != len(y.values):
         raise InputError("x and y must have the same length")
-    if len(ax) < 3:
+    if len(x.values) < 3:
         raise InputError("need at least 3 observations")
-    rx = _centred_ranks(ax, x_counts)
-    ry = _centred_ranks(ay, y_counts)
-    if rx is None or ry is None:
+    if not (rx[1] and ry[1]):
         raise DegenerateInputError("constant input vector: rho undefined")
     return _rank_correlation(rx, ry, alpha)
 
 
 def paired_t_test(x, y) -> TTestResult:
     """Paired (dependent) two-sided t-test on index-matched samples."""
-    ax, _ = _finite(x, "x")
-    ay, _ = _finite(y, "y")
-    if len(ax) != len(ay):
+    x, y = Sample.of(x, "x"), Sample.of(y, "y")
+    x.total, y.total  # both finite before any length check
+    if len(x.values) != len(y.values):
         raise InputError("x and y must have the same length")
-    n = len(ax)
+    n = len(x.values)
     if n < 2:
         raise InputError("need at least 2 pairs")
-    mean_d, var_d = _mean_variance(*_finite(map(sub, ax, ay), "x - y"))
-    sd = math.sqrt(var_d)
+    mean_d, var_d, scale = Sample(map(sub, x.values, y.values), "x - y").moments
     df = n - 1
-    if sd == 0.0:
+    if var_d == 0.0:
         if mean_d == 0.0:
             return TTestResult(0.0, df, 1.0, 0.0, "paired", zero_variance=True)
         raise DegenerateInputError("all pairwise differences are identical and nonzero")
-    t = mean_d / (sd / math.sqrt(n))
+    t = mean_d * scale / (math.sqrt(var_d) / math.sqrt(n))
     return TTestResult(t, df, _two_sided_p(t, df), mean_d, "paired")
 
 
 def welch_t_test(x, y) -> TTestResult:
     """Welch's unequal-variance t-test with Welch-Satterthwaite df."""
-    ax, x_total = _finite(x, "x")
-    ay, y_total = _finite(y, "y")
-    nx, ny = len(ax), len(ay)
+    x, y = Sample.of(x, "x"), Sample.of(y, "y")
+    x.total, y.total  # both finite before any length check
+    nx, ny = len(x.values), len(y.values)
     if nx < 2 or ny < 2:
         raise InputError("each group needs at least 2 observations")
-    mx, vx = _mean_variance(ax, x_total)
-    my, vy = _mean_variance(ay, y_total)
+    mx, vx, x_scale = x.moments
+    my, vy, y_scale = y.moments
+    # both variances on the wider group's scale: t and df come out as unscaled
+    scale = min(x_scale, y_scale)
+    vx *= (scale / x_scale) ** 2
+    vy *= (scale / y_scale) ** 2
     mean_diff = mx - my
     if vx == 0.0 and vy == 0.0:
         if mean_diff == 0.0:
             return TTestResult(0.0, float(nx + ny - 2), 1.0, 0.0, "welch", zero_variance=True)
         raise DegenerateInputError("both groups constant with different means")
     se2 = vx / nx + vy / ny
-    t = mean_diff / math.sqrt(se2)
+    t = mean_diff * scale / math.sqrt(se2)
     df = se2 * se2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
     return TTestResult(t, df, _two_sided_p(t, df), mean_diff, "welch")
 
@@ -478,12 +489,13 @@ def mean_confidence_interval(values, level: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval for the mean."""
     if not 0.0 < level < 1.0:
         raise InputError("level must lie strictly between 0 and 1")
-    xs, total = _finite(values)
-    n = len(xs)
+    sample = Sample.of(values)
+    sample.total  # finite before the length check
+    n = len(sample.values)
     if n < 2:
         raise InputError("need at least 2 observations")
-    mean, var = _mean_variance(xs, total)
-    sd = math.sqrt(var)
+    mean, var, scale = sample.moments
+    sd = math.sqrt(var) / scale
     half_width = student_t_quantile(0.5 * (1.0 + level), n - 1) * sd / math.sqrt(n)
     return ConfidenceInterval(mean, mean - half_width, mean + half_width, level, n)
 
@@ -493,30 +505,30 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """All-pairs Spearman over named columns of equal length.
 
-    Constant columns yield None entries ("flagged undefined") instead of
-    failing the whole matrix. The result is exactly symmetric with a unit
-    diagonal on defined columns.
+    A column's values may be a :class:`Sample`. Constant columns yield None
+    entries ("flagged undefined") instead of failing the whole matrix. The
+    result is exactly symmetric with a unit diagonal on defined columns.
     """
     if not columns:
         raise InputError("need at least one column")
     ids = tuple(name for name, _ in columns)
-    tallies = [_tallied(vals, name) for name, vals in columns]
-    n = len(tallies[0][0])
+    samples = [Sample.of(vals, name) for name, vals in columns]
+    centred = [s.ranks for s in samples]
+    n = len(samples[0].values)
     if n < 3:
         raise InputError("need at least 3 observations per column")
-    for name, (xs, _) in zip(ids, tallies):
-        if len(xs) != n:
+    for name, s in zip(ids, samples):
+        if len(s.values) != n:
             raise InputError(f"column {name!r} has mismatched length")
-    centred = [_centred_ranks(xs, counts) for xs, counts in tallies]
     k = len(ids)
     grid: list[list[SpearmanResult | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
         ri = centred[i]
-        if ri is None:
+        if not ri[1]:
             continue
         grid[i][i] = SpearmanResult(1.0, 0.0, n, _strength(1.0), True)
         for j in range(i + 1, k):
             rj = centred[j]
-            if rj is not None:
+            if rj[1]:
                 grid[i][j] = grid[j][i] = _rank_correlation(ri, rj, alpha)
     return CorrelationMatrix(ids, tuple(tuple(row) for row in grid))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from solmetrics import stats
 from solmetrics.corpus import ContractRow, LabeledContractSet
 from solmetrics.errors import InputError
 from solmetrics.metrics import METRIC_NAMES, ContractMetrics
@@ -12,6 +13,7 @@ from solmetrics.pipeline import (
     HIGHER_IN_VULNERABLE,
     OVERLAPPING,
     RunConfig,
+    metric_columns,
     rq1_redundancy,
     rq2_metric_vs_vulnerability,
     rq3_discriminative,
@@ -334,6 +336,47 @@ def test_run_analysis_report_structure():
     assert [r.metric for r in report.rq2.rows] == list(METRIC_NAMES)
     assert [r.metric for r in report.rq3.rows] == list(METRIC_NAMES)
     assert [r.metric for r in report.rq4.rows] == list(METRIC_NAMES)
+
+
+def test_run_analysis_ranks_each_column_once(monkeypatch):
+    # one tally per pooled column, the label and each group column: rq2 ranks
+    # the label once, not once per metric
+    tallies = []
+
+    class CountingCounter(stats.Counter):
+        def __init__(self, *args):
+            tallies.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(stats, "Counter", CountingCounter)
+    run_analysis(random_set(16), RunConfig(seed=3))
+    assert len(tallies) == 21 + 1 + 42
+
+
+def test_rq4_reuses_the_moments_rq3_computed(monkeypatch):
+    columns = metric_columns(random_set(17))
+    rq3_discriminative(columns, seed=3)
+    calls = []
+    fsum = stats.math.fsum
+    monkeypatch.setattr(stats.math, "fsum", lambda values: calls.append(1) or fsum(values))
+    rq4_interval_comparison(columns)
+    assert calls == []
+
+
+def test_shared_columns_give_the_same_sections_in_any_order():
+    # the summaries a column caches, and rq3's draw from it, leave each
+    # analysis as it is on the labeled set
+    data = random_set(18)
+    analyses = [
+        lambda d: rq1_redundancy(d, 0.5),
+        rq2_metric_vs_vulnerability,
+        lambda d: rq3_discriminative(d, seed=5),
+        rq4_interval_comparison,
+    ]
+    expected = [run(data) for run in analyses]
+    columns = metric_columns(data)
+    assert [run(columns) for run in reversed(analyses)] == expected[::-1]
+    assert [run(columns) for run in analyses] == expected
 
 
 def test_run_config_validation():

@@ -58,9 +58,11 @@ def normal_cdf(t):
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
 
 
-# Floats are 0 or between 1e-6 and 1e6 in magnitude: a deviation below about
-# 1e-154 squares to an underflow, and the float moments lose it.
-_FLOATS = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
+# Floats are 0 or between 1e-200 and 1e6 in magnitude. A deviation below
+# about 1e-154 squares to an underflow unless the moments scale it first, so
+# magnitudes from 1e-200 to 1e-6 are drawn as a range of their own.
+_MAGNITUDES = st.floats(1e-6, 1e6) | st.floats(1e-200, 1e-6)
+_FLOATS = st.just(0.0) | _MAGNITUDES | _MAGNITUDES.map(lambda v: -v)
 
 
 def _tied(n_min: int, n_max: int):
@@ -106,6 +108,16 @@ def assert_close(value, exact, scale=None):
     """
     bound = abs(exact) if scale is None else scale
     assert abs(value - exact) <= 1e-12 * bound, (value, float(exact))
+
+
+def assert_p_close(value, exact):
+    """A two-sided p-value within 1e-12 of ``exact`` where each tail is held
+    to that bound, down to 1e-300; below it only as small, since a tail there
+    may lie below the smallest float."""
+    if exact >= 2e-300:
+        assert_close(value, exact)
+    else:
+        assert value < 2e-300, (value, float(exact))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +283,7 @@ def test_paired_t_test_matches_exact_moments(pair):
         se = mp.sqrt(mpq(var) / n)
         assert_close(r.t_statistic, mpq(mean) / se, abs(mpq(mean)) / se + scale / se)
     assert r.degrees_of_freedom == n - 1
-    assert_close(r.p_value, mp_two_sided_p(r.t_statistic, n - 1))
+    assert_p_close(r.p_value, mp_two_sided_p(r.t_statistic, n - 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,7 +302,7 @@ def test_welch_t_test_matches_exact_moments(x, y):
     with mp.workdps(40):
         se = mp.sqrt(mpq(vx + vy))
         assert_close(r.t_statistic, mpq(diff) / se, abs(mpq(diff)) / se + scale / se)
-    assert_close(r.p_value, mp_two_sided_p(r.t_statistic, r.degrees_of_freedom))
+    assert_p_close(r.p_value, mp_two_sided_p(r.t_statistic, r.degrees_of_freedom))
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,6 +364,12 @@ def test_paired_degenerate_error():
         paired_t_test([0.1, 0.1, 0.1], [0, 0, 0])
 
 
+def test_paired_keeps_differences_whose_squares_underflow():
+    # the squared differences lie near 1e-340, below the float range
+    r = paired_t_test([1e-170, 2e-170, 4e-170], [0, 0, 0])
+    assert r.t_statistic == pytest.approx(math.sqrt(7), rel=1e-15)
+
+
 def test_welch_identical_groups():
     r = welch_t_test([1, 2, 3], [1, 2, 3])
     assert r.t_statistic == 0.0 and r.p_value == 1.0
@@ -374,6 +392,11 @@ def test_welch_permutation_invariance():
     assert base.t_statistic == shuffled.t_statistic
 
 
+def test_welch_keeps_groups_whose_squares_underflow():
+    r = welch_t_test([1e-170, 2e-170, 4e-170], [0, 1e-171, 0])
+    assert not r.zero_variance and 0.0 < r.p_value < 1.0
+
+
 def test_welch_constant_groups():
     r = welch_t_test([2, 2, 2], [2, 2])
     assert r.zero_variance and r.p_value == 1.0
@@ -391,6 +414,11 @@ def test_ci_constant_vector_collapses():
     assert (r.lower, r.mean, r.upper) == (4.0, 4.0, 4.0)
     r = mean_confidence_interval([0.1, 0.1, 0.1])
     assert (r.lower, r.mean, r.upper) == (0.1, 0.1, 0.1)
+
+
+def test_ci_keeps_a_spread_whose_square_underflows():
+    r = mean_confidence_interval([0.0, 1.8203266035852457e-191])
+    assert r.lower < r.mean < r.upper
 
 
 def test_ci_hand_example():
