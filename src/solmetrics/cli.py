@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import ANALYSES, RunConfig, check_jobs
-from .corpus import export_metrics, ingest, load_manifest, parse_files
+from .corpus import available_cpus, export_metrics, ingest, load_manifest, parse_files
 from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
 from .inheritance import build_inheritance_graph  # noqa: F401
@@ -75,7 +75,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--redundancy-threshold", type=float, default=0.9)
     sub.add_argument("--significance", type=float, default=0.05)
     sub.add_argument("--format", type=_formats, default=("csv", "json", "md"))
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--jobs", type=int, default=available_cpus())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = subs.add_parser("metrics", help="print per-contract metric rows as CSV")
     p_metrics.add_argument("paths", nargs="+", help=".sol files to analyze")
-    p_metrics.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_metrics.add_argument("--jobs", type=int, default=available_cpus())
 
     p_analyze = subs.add_parser("analyze", help="run all four analyses over a labeled corpus")
     _add_run_flags(p_analyze)

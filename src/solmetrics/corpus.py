@@ -13,7 +13,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import CorpusError, LexError
@@ -31,6 +33,15 @@ LABEL_NEUTRAL = "neutral"
 VULNERABILITY_TYPES = frozenset({"TP", "BN", "DG", "EF", "UC", "RE", "OF", "SE"})
 
 MANIFEST_HEADER = ("file", "contract", "label", "type")
+
+# The bytes a parse pool must take off the critical path before it pays for
+# starting its workers. Measured on a 2-vCPU VM with Python 3.11.7: this
+# module's pool, forced on, in `metrics --jobs 2` against `--jobs 1`, on
+# prefixes of the perfbench small_files and imported_bases corpora (seed 1,
+# 24 alternating pairs per prefix). Per pair the pool lost a median 8 ms at
+# 81 KB off the path and 4-5 ms at 100 KB, broke even at 120 KB (+0.6 ms on
+# one corpus, -0.9 ms on the other) and won 3 ms at 140 KB.
+POOL_BREAK_EVEN_BYTES = 120_000
 
 
 @dataclass(frozen=True)
@@ -192,23 +203,76 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
     return _ParsedFile(file, contracts=contracts, diagnostics=[str(d) for d in unit.diagnostics])
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, not every CPU of the machine."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_order(root: str, files: list[str], workers: int) -> list[int] | None:
+    """The indices of ``files``, largest file first, if a pool of
+    ``workers`` can pay for its start; None if this process parses faster.
+
+    A pool takes at least as long as its largest file or an equal share of
+    all the bytes, so the other workers take at most the bytes above that
+    off the critical path. Sizes come from ``os.stat``; a file that cannot
+    be read counts 0 bytes, and its worker reports it.
+    """
+    sizes = []
+    for file in files:
+        try:
+            sizes.append(os.stat(os.path.join(root, file)).st_size)
+        except OSError:
+            sizes.append(0)
+    total = sum(sizes)
+    if total - max(max(sizes), total / workers) < POOL_BREAK_EVEN_BYTES:
+        return None
+    # Largest first (LPT; Graham, SIAM J. Appl. Math. 1969): a large file
+    # handed out last would finish alone after every other worker is idle.
+    return sorted(range(len(files)), key=sizes.__getitem__, reverse=True)
+
+
+def _parse_in_pool(
+    tasks: list[tuple[str, str]], order: list[int], workers: int
+) -> list[_ParsedFile]:
+    """Parse ``tasks`` across ``workers`` processes in ``order``; results
+    come back in the order of ``tasks``."""
+    # imported here: a run that parses in this process loads no multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers start in milliseconds and share the loaded modules.
+    # Python 3.14 defaults to forkserver on Linux; forced on 3.11, it made two
+    # workers parse the flattened corpus in 0.132 s against 0.049 s forked,
+    # which would move POOL_BREAK_EVEN_BYTES.
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    # at least two chunks per worker, so a few large files spread out
+    chunksize = max(1, min(16, len(tasks) // (2 * workers)))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        results = pool.map(_parse_sol_file, [tasks[i] for i in order], chunksize=chunksize)
+        by_index = dict(zip(order, results))
+    return [by_index[i] for i in range(len(tasks))]
+
+
 def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]:
     """Parse and measure many files, optionally across processes, in input order.
 
-    One inheritance graph over all the files then sets every contract's
-    DIT, NOA and NOD. Raises :class:`CorpusError` on an inheritance cycle.
+    With more than one worker allowed (``jobs``, capped by the files and by
+    :func:`available_cpus`), the file sizes decide whether a process pool
+    can beat this process (see :func:`_pool_order`). One inheritance graph
+    over all the files then sets every contract's DIT, NOA and NOD. Raises
+    :class:`CorpusError` on an inheritance cycle.
     """
     tasks = [(root, f) for f in files]
     # no more workers than files or CPUs, whatever --jobs asks for
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: a run on one process loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # at least two chunks per worker, so a few large files spread out
-        chunksize = max(1, min(16, len(tasks) // (2 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parsed = list(pool.map(_parse_sol_file, tasks, chunksize=chunksize))
+    workers = min(jobs, len(tasks), available_cpus())
+    order = _pool_order(root, files, workers) if workers > 1 else None
+    if order is not None:
+        parsed = _parse_in_pool(tasks, order, workers)
     else:
         parsed = [_parse_sol_file(t) for t in tasks]
     graph = build_inheritance_graph(parsed)
@@ -332,22 +396,24 @@ def _imported_row(
 ) -> ContractRow:
     _check_label(row, label, vuln_type)
     try:
-        metrics = ContractMetrics(
-            **{name: cast(values[name]) for name, cast in _METRIC_TYPES.items()}
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cells = {name: cast(values[name]) for name, cast in _METRIC_TYPES.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"{row}: bad metric value ({exc!r})") from exc
-    return ContractRow(file, contract, metrics, label, vuln_type)
+    for name, value in cells.items():
+        # a float cell may read nan or inf (CSV) or NaN or Infinity (JSON)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CorpusError(f"{row}: metric {name!r} must be finite, got {value!r}")
+    return ContractRow(file, contract, ContractMetrics(**cells), label, vuln_type)
 
 
 def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
     """Read a table produced by :func:`export_metrics` back into a set.
 
-    Rows are validated like manifest rows; a short row, a bad metric value
-    or a bad label raises :class:`CorpusError` naming the row. In JSON a
-    metric must be a number, and an integer metric a JSON integer. A JSON
-    document that nests too deeply or has no ``rows`` list raises one
-    naming the file.
+    Rows are validated like manifest rows; a short row, a bad or
+    non-finite metric value or a bad label raises :class:`CorpusError`
+    naming the row. In JSON a metric must be a number, and an integer
+    metric a JSON integer. A JSON document that nests too deeply or has no
+    ``rows`` list raises one naming the file.
     """
     if fmt not in ("csv", "json"):
         raise CorpusError(f"unknown import format {fmt!r}")

@@ -139,6 +139,10 @@ class Sample:
         deviations = [(v - mean) * scale for v in xs]
         scaled_drift = drift * scale
         square_sum = math.fsum(map(mul, deviations, deviations)) - scaled_drift * scaled_drift / n
+        # a deviation past the float range, as -1.7e308 is from a mean of
+        # 5.7e307, squares to inf; inf - inf is NaN, which max() would read as 0
+        if not math.isfinite(square_sum):
+            raise InputError(f"{self.name} deviates from its mean past the float range")
         variance = max(0.0, square_sum) / (n - 1)
         return mean + drift / n, variance, scale if variance else 2.0**1021
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from solmetrics import corpus
 from solmetrics.inheritance import build_inheritance_graph
 from solmetrics.metrics import ContractMetrics, contract_metrics
 from solmetrics.parser import line_accounting, parse_source
@@ -60,3 +61,22 @@ def make_corpus(tmp_path):
         return str(manifest), str(root)
 
     return _make
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Send every parse_files run allowed more than one worker to a process
+    pool, however few bytes its files hold and however few CPUs the host
+    has (the pool is capped at 4 workers); returns the worker count of each
+    pool started, so a test can show that its files went through one."""
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
+    monkeypatch.setattr(corpus, "available_cpus", lambda: 4)
+    started = []
+    parse_in_pool = corpus._parse_in_pool
+
+    def recording(tasks, order, workers):
+        started.append(workers)
+        return parse_in_pool(tasks, order, workers)
+
+    monkeypatch.setattr(corpus, "_parse_in_pool", recording)
+    return started

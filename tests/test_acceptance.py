@@ -324,7 +324,7 @@ def test_criterion_8e_dedupe_idempotence(tmp_path):
     _report("8e dedupe-idempotence")
 
 
-def test_criterion_8f_full_run_determinism_across_jobs(tmp_path):
+def test_criterion_8f_full_run_determinism_across_jobs(tmp_path, pooled):
     from solmetrics.cli import main
 
     root = tmp_path / "src"
@@ -364,6 +364,7 @@ def test_criterion_8f_full_run_determinism_across_jobs(tmp_path):
             if name != "run_manifest.json"
         }
         blobs.append(payload)
+    assert pooled == [2, 4]
     assert blobs[0] == blobs[1] == blobs[2]
     manifest_0 = json.load(open(tmp_path / "out1" / "run_manifest.json"))
     assert set(manifest_0["outputs"]) == {n for n in blobs[0]}

@@ -97,7 +97,7 @@ def test_metrics_missing_file_diagnostic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_metrics_internal_error_skips_the_file(tmp_path, capsys, monkeypatch, jobs):
+def test_metrics_internal_error_skips_the_file(tmp_path, capsys, monkeypatch, pooled, jobs):
     real_parse_file = corpus.parse_file
 
     def parse_file(tokens, path):
@@ -112,13 +112,14 @@ def test_metrics_internal_error_skips_the_file(tmp_path, capsys, monkeypatch, jo
         (tmp_path / name).write_text(text, encoding="utf-8")
         paths.append(str(tmp_path / name))
     code, out, err = run_cli(capsys, "metrics", *paths, "--jobs", jobs)
+    assert pooled == ([2] if jobs == "2" else [])
     assert code == 2
     assert err.splitlines() == [f"{paths[0]}:1: internal error: RuntimeError: boom"]
     assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["V"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, jobs):
+def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, pooled, jobs):
     body = "if (x) {" * 600 + "x = 1;" + "}" * 600
     deep = tmp_path / "deep.sol"
     deep.write_text(
@@ -128,6 +129,7 @@ def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, jobs):
     ok = tmp_path / "ok.sol"
     ok.write_text(GOOD, encoding="utf-8")
     code, out, err = run_cli(capsys, "metrics", str(deep), str(ok), "--jobs", jobs)
+    assert pooled == ([2] if jobs == "2" else [])
     assert code == 2
     assert "nesting too deep" in err
     assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["B", "A"]
@@ -137,19 +139,20 @@ def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, jobs):
 @pytest.mark.parametrize(
     "tail", ["abstract", "struct S {", "function g() pure {"], ids=["abstract", "struct", "function"]
 )
-def test_metrics_malformed_file_level_item_exit_2(tmp_path, capsys, jobs, tail):
+def test_metrics_malformed_file_level_item_exit_2(tmp_path, capsys, pooled, jobs, tail):
     bad = tmp_path / "bad.sol"
     bad.write_text("contract Keep {}\n" + tail, encoding="utf-8")
     ok = tmp_path / "ok.sol"
     ok.write_text(GOOD, encoding="utf-8")
     code, out, err = run_cli(capsys, "metrics", str(bad), str(ok), "--jobs", jobs)
+    assert pooled == ([2] if jobs == "2" else [])
     assert code == 2
     assert "Traceback" not in err
     assert [line.split(": ", 1)[0] for line in err.splitlines()] == [f"{bad}:2"]
     assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["Keep", "A"]
 
 
-def test_metrics_nesting_limit_jobs_invariant(tmp_path, capsys):
+def test_metrics_nesting_limit_jobs_invariant(tmp_path, capsys, pooled):
     paths = []
     for shape in sorted(NESTING_SHAPES):
         for depth in (MAX_NESTING, MAX_NESTING + 1):
@@ -158,6 +161,7 @@ def test_metrics_nesting_limit_jobs_invariant(tmp_path, capsys):
             paths.append(str(path))
     serial = run_cli(capsys, "metrics", *paths, "--jobs", "1")
     parallel = run_cli(capsys, "metrics", *paths, "--jobs", "2")
+    assert pooled == [2]
     assert serial == parallel
     code, out, err = serial
     assert code == 2
@@ -218,9 +222,10 @@ def test_metrics_rows_equal_export_columns(cross_file_dir, capsys):
     }
 
 
-def test_metrics_output_jobs_invariant(cross_file_dir, capsys):
+def test_metrics_output_jobs_invariant(cross_file_dir, capsys, pooled):
     serial = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "1")
     parallel = run_cli(capsys, "metrics", *sorted(CROSS_FILE), "--jobs", "3")
+    assert pooled == [3]
     assert serial == parallel
 
 
@@ -313,7 +318,7 @@ def test_analyze_deterministic(corpus_dir, tmp_path, capsys):
     assert b1 == b2
 
 
-def test_analyze_jobs_invariant(corpus_dir, tmp_path, capsys):
+def test_analyze_jobs_invariant(corpus_dir, tmp_path, capsys, pooled):
     manifest, root, _ = corpus_dir
     outputs = []
     for jobs, out in (("1", str(tmp_path / "j1")), ("3", str(tmp_path / "j3"))):
@@ -323,6 +328,7 @@ def test_analyze_jobs_invariant(corpus_dir, tmp_path, capsys):
         )
         assert code == 0
         outputs.append(open(os.path.join(out, "report.json"), "rb").read())
+    assert pooled == [3]
     assert outputs[0] == outputs[1]
 
 

@@ -81,12 +81,19 @@ def _cli_statement(argv: list[str], exit_codes: tuple[int, ...] = (0,)) -> str:
 IMPORTS = {"package": "import solmetrics", "cli": "import solmetrics.cli"}
 
 
-@pytest.mark.parametrize("entry", ["package", "cli", "metrics", "export"])
+@pytest.mark.parametrize("entry", ["package", "cli", "metrics", "metrics-jobs-2", "export"])
 def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
     manifest, root, tmp = golden_corpus
     if entry == "metrics":
         files = sorted(os.path.join(root, f) for f in os.listdir(root))
         statement = _cli_statement(["metrics", *files, "--jobs", "1"])
+    elif entry == "metrics-jobs-2":
+        # two workers are allowed, on any host, but the golden files hold
+        # too few bytes for a pool to pay: they are parsed in this process
+        files = sorted(os.path.join(root, f) for f in os.listdir(root))
+        assert sum(map(os.path.getsize, files)) < corpus.POOL_BREAK_EVEN_BYTES
+        statement = "import solmetrics.corpus\nsolmetrics.corpus.available_cpus = lambda: 2\n"
+        statement += _cli_statement(["metrics", *files, "--jobs", "2"])
     elif entry == "export":
         argv = ["export", "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
         statement = _cli_statement(argv + ["--format", "csv,json", "--jobs", "1"])

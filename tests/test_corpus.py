@@ -3,15 +3,19 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import pickle
 import re
+import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import metrics_for
 from golden_corpus import GOLDEN
+from solmetrics import corpus
 from solmetrics.corpus import (
     LabeledContractSet,
     _ParsedFile,
@@ -25,6 +29,7 @@ from solmetrics.corpus import (
 from solmetrics.errors import CorpusError
 from solmetrics.inheritance import build_inheritance_graph
 from solmetrics.lexer import tokenize
+from solmetrics.metrics import METRIC_NAMES
 from solmetrics.nodes import ContractDef, FunctionDef, FunctionMetrics, SourceUnit
 from solmetrics.parser import parse_source
 
@@ -219,12 +224,13 @@ def test_row_count_bounded_by_entries(make_corpus):
     assert s.diagnostics
 
 
-def test_ingest_jobs_parallel_equivalent(make_corpus):
+def test_ingest_jobs_parallel_equivalent(make_corpus, pooled):
     files = {f"c{i}.sol": SIMPLE.replace("Token", f"Token{i}") for i in range(6)}
     entries = [(f"c{i}.sol", f"Token{i}", "neutral", None) for i in range(6)]
     manifest, root = make_corpus(files, entries)
     serial = ingest(load_manifest(manifest), root, jobs=1)
     parallel = ingest(load_manifest(manifest), root, jobs=3)
+    assert pooled == [3]
     assert serial == parallel
 
 
@@ -278,21 +284,17 @@ def test_parse_files_inheritance_metrics_follow_the_corpus_graph(tmp_path):
     assert got[("leaves.sol", "C")] == (3, 2, 0)
 
 
-@pytest.mark.parametrize(
-    "jobs, cpus, sizes",
-    [(5000, 2, [2]), (3, 8, [3]), (8, 8, [4]), (5000, None, []), (1, 8, [])],
-)
-def test_parse_files_workers_capped_by_cpus_and_files(tmp_path, monkeypatch, jobs, cpus, sizes):
-    files = [f"f{i}.sol" for i in range(4)]
-    for i, file in enumerate(files):
-        (tmp_path / file).write_text(f"contract C{i} {{}}", encoding="utf-8")
-    made = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records the worker count and start
+    method of each pool made and the files each is given, and maps in this
+    process in the order given."""
+    record = SimpleNamespace(made=[], submitted=[])
 
-    class InProcessPool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
+    class Pool:
+        def __init__(self, max_workers, mp_context=None):
+            method = mp_context.get_start_method() if mp_context is not None else None
+            record.made.append((max_workers, method))
 
         def __enter__(self):
             return self
@@ -301,14 +303,111 @@ def test_parse_files_workers_capped_by_cpus_and_files(tmp_path, monkeypatch, job
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
+            record.submitted.append([file for _, file in items])
             return map(fn, items)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return record
+
+
+def _write_sized(root, sizes: list[int]) -> list[str]:
+    """One contract per file, padded to exactly the given byte sizes."""
+    files = []
+    for i, size in enumerate(sizes):
+        text = f"contract C{i} {{}}"
+        (root / f"f{i}.sol").write_text(text.ljust(size), encoding="utf-8")
+        files.append(f"f{i}.sol")
+    return files
+
+
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, sizes",
+    [(5000, 2, [2]), (3, 8, [3]), (8, 8, [4]), (5000, None, []), (1, 8, [])],
+)
+def test_parse_files_workers_capped_by_cpus_and_files(
+    tmp_path, monkeypatch, recording_pool, jobs, cpus, sizes
+):
+    files = _write_sized(tmp_path, [20] * 4)
+    planned = []
+    pool_order = corpus._pool_order
+
+    def recording_order(root, files, workers):
+        planned.append(workers)
+        return pool_order(root, files, workers)
+
+    # a platform that reports only os.cpu_count(), which may be None
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
+    monkeypatch.setattr(corpus, "_pool_order", recording_order)
     parsed = parse_files(str(tmp_path), files, jobs)
-    assert made == sizes
+    # one worker plans nothing: not even the sizes are read
+    assert planned == sizes
+    assert recording_pool.made == [(size, _START_METHOD) for size in sizes]
     assert [pf.path for pf in parsed] == files
     assert all(pf.error is None and len(pf.contracts) == 1 for pf in parsed)
+
+
+@pytest.mark.parametrize(
+    "sizes, workers, off",
+    [
+        # the largest file holds the critical path: 400 - 300
+        ([300, 50, 50], 2, 100),
+        # an equal share holds it: 400 - 400 / 2, and 400 - 400 / 4
+        ([100, 100, 100, 100], 2, 200),
+        ([100, 100, 100, 100], 4, 300),
+    ],
+)
+def test_parse_files_pools_from_the_break_even_up(
+    tmp_path, monkeypatch, recording_pool, sizes, workers, off
+):
+    files = _write_sized(tmp_path, sizes)
+    monkeypatch.setattr(corpus, "available_cpus", lambda: workers)
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", off + 1)
+    below = parse_files(str(tmp_path), files, workers)
+    assert recording_pool.made == []
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", off)
+    at = parse_files(str(tmp_path), files, workers)
+    assert recording_pool.made == [(workers, _START_METHOD)]
+    assert below == at
+
+
+def test_parse_files_submits_largest_first_and_returns_input_order(
+    tmp_path, monkeypatch, recording_pool
+):
+    sizes = [50, 400, 100, 400, 200, 30]
+    files = _write_sized(tmp_path, sizes) + ["missing.sol"]
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
+    monkeypatch.setattr(corpus, "available_cpus", lambda: 2)
+    parsed = parse_files(str(tmp_path), files, 2)
+    # equal sizes keep their input order; a file that cannot be read counts 0 bytes
+    assert recording_pool.submitted == [["f1.sol", "f3.sol", "f4.sol", "f2.sol", "f0.sol",
+                                         "f5.sol", "missing.sol"]]
+    assert [pf.path for pf in parsed] == files
+    assert [[c.name for c in pf.contracts] for pf in parsed] == [
+        [f"C{i}"] for i in range(len(sizes))
+    ] + [[]]
+    assert parsed[-1].error.startswith("unreadable file")
+
+
+def test_available_cpus_honours_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert corpus.available_cpus() == 3
+    monkeypatch.delattr(os, "process_cpu_count")
+    assert corpus.available_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert corpus.available_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert corpus.available_cpus() == 1
+    monkeypatch.setattr(os, "process_cpu_count", lambda: None, raising=False)
+    assert corpus.available_cpus() == 1
 
 
 _GOLDEN_SOURCES = [source for source, _ in GOLDEN.values()]
@@ -403,6 +502,12 @@ def test_export_labels_match_manifest(make_corpus, tmp_path):
     ]
 
 
+def _with_avg_nl(fields, cell):
+    """A CSV row with the float metric avg_nl, after file and contract, set to ``cell``."""
+    at = 2 + METRIC_NAMES.index("avg_nl")
+    return fields[:at] + [cell] + fields[at + 1:]
+
+
 def _rewrite_csv_row(path, index, edit):
     lines = open(path, encoding="utf-8").read().splitlines()
     fields = lines[index].split(",")
@@ -419,8 +524,12 @@ def _rewrite_csv_row(path, index, edit):
         (lambda f: f[:-2] + ["vulnerable", "XX"], "row 3: unknown vulnerability type 'XX'"),
         (lambda f: f[:5], "row 3: expected 25 fields, got 5"),
         (lambda f: f[:2] + ["many"] + f[3:], "row 3: bad metric value"),
+        (lambda f: _with_avg_nl(f, "nan"), "row 3: metric 'avg_nl' must be finite, got nan"),
+        (lambda f: _with_avg_nl(f, "-inf"), "row 3: metric 'avg_nl' must be finite, got -inf"),
     ],
-    ids=["unknown-label", "type-on-neutral", "unknown-type", "short-row", "bad-value"],
+    ids=[
+        "unknown-label", "type-on-neutral", "unknown-type", "short-row", "bad-value", "nan", "inf"
+    ],
 )
 def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
     path = str(tmp_path / "metrics.csv")
@@ -442,6 +551,9 @@ def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
         ("avg_nl", False, r"rows\[1\]: metric 'avg_nl' must be a number, got False"),
         ("avg_nl", "0.5", r"rows\[1\]: metric 'avg_nl' must be a number, got '0\.5'"),
         ("avg_nl", None, r"rows\[1\]: metric 'avg_nl' must be a number, got None"),
+        ("avg_nl", math.nan, r"rows\[1\]: metric 'avg_nl' must be finite, got nan"),
+        ("avg_nl", math.inf, r"rows\[1\]: metric 'avg_nl' must be finite, got inf"),
+        ("avg_nl", 10**400, r"rows\[1\]: bad metric value \(OverflowError"),
     ],
     ids=[
         "unknown-label",
@@ -453,6 +565,9 @@ def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
         "bool-for-float",
         "string-for-float",
         "null-for-float",
+        "nan-for-float",
+        "infinity-for-float",
+        "int-past-float-range",
     ],
 )
 def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, message):

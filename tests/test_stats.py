@@ -364,6 +364,20 @@ def test_paired_degenerate_error():
         paired_t_test([0.1, 0.1, 0.1], [0, 0, 0])
 
 
+def test_deviations_past_the_float_range_are_an_input_error():
+    # -1.7e308 lies 2.3e308 below the mean 5.7e307: the square sum is NaN,
+    # which once read as variance 0 and so as "identical and nonzero"
+    wide = [1.7e308, -1.7e308, 1.7e308]
+    message = "deviates from its mean past the float range"
+    with pytest.raises(InputError, match=f"x - y {message}") as raised:
+        paired_t_test(wide, [0, 0, 0])
+    assert not isinstance(raised.value, DegenerateInputError)
+    with pytest.raises(InputError, match=message):
+        welch_t_test(wide, [0, 1])
+    with pytest.raises(InputError, match=message):
+        mean_confidence_interval(wide)
+
+
 def test_paired_keeps_differences_whose_squares_underflow():
     # the squared differences lie near 1e-340, below the float range
     r = paired_t_test([1e-170, 2e-170, 4e-170], [0, 0, 0])
