@@ -146,17 +146,16 @@ class TokenStream(Sequence):
     ``comment_upto[n]`` count the lines 1..n touched by a code token and by
     a comment token, so the count over any line span is one subtraction.
 
-    Reading an item builds its :class:`Token` from the source (or returns
-    the one a hand-built list held); the parser reads none.
+    Reading an item builds its :class:`Token` from the source; the parser
+    reads none.
     """
 
     __slots__ = (
         "kinds", "texts", "starts", "ends", "code_upto", "comment_upto",
-        "_count", "_source", "_tokens", "_offsets", "_line_starts",
+        "_count", "_source", "_offsets", "_line_starts",
     )
 
-    def __init__(self, kinds, texts, starts, ends, code_flags, comment_flags, count,
-                 source: str = "", tokens: list[Token] | None = None):
+    def __init__(self, kinds, texts, starts, ends, code_flags, comment_flags, count, source: str):
         last = ends[-1] if ends else 1
         kinds.append("")
         texts.append("")
@@ -170,49 +169,13 @@ class TokenStream(Sequence):
         self.comment_upto = list(accumulate(comment_flags))
         self._count = count
         self._source = source
-        self._tokens = tokens
         self._offsets: list[int] | None = None
         self._line_starts: list[int] = []
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[Token]) -> TokenStream:
-        """The stream of a hand-built token list, in its order.
-
-        The line counts are sized by the last token's end line, the largest
-        one in stream order; a list out of that order grows them as it
-        goes, so it still indexes without raising.
-        """
-        tokens = list(tokens)
-        n_lines = tokens[-1].span[2] if tokens else 0
-        code_lines = bytearray(n_lines + 1)
-        comment_lines = bytearray(n_lines + 1)
-        kinds: list[str] = []
-        texts: list[str] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        for t in tokens:
-            first, _, last, _ = t.span
-            if last > n_lines:
-                code_lines.extend(bytes(last - n_lines))
-                comment_lines.extend(bytes(last - n_lines))
-                n_lines = last
-            if t.kind in COMMENT_KINDS:
-                flags = comment_lines
-            else:
-                flags = code_lines
-                kinds.append(t.kind)
-                texts.append(t.text)
-                starts.append(first)
-                ends.append(last)
-            _mark(flags, first, last)
-        return cls(kinds, texts, starts, ends, code_lines, comment_lines, len(tokens), tokens=tokens)
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, index):
-        if self._tokens is not None:
-            return self._tokens[index]
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(self._count))]
         if self._offsets is None:
@@ -228,11 +191,6 @@ class TokenStream(Sequence):
         first = bisect_right(starts, start)
         last = bisect_right(starts, m.end() - 1)
         return Token(kind, text, (first, start - starts[first - 1] + 1, last, m.end() - starts[last - 1]))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, TokenStream)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def line_start_offsets(source: str) -> list[int]:

@@ -24,7 +24,6 @@ block or ``unchecked`` wrapper counts as no statement. Each
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 
 from .errors import ParseError
 from .lexer import (
@@ -32,7 +31,6 @@ from .lexer import (
     KEYWORD,
     PRAGMA_DIRECTIVE,
     PUNCTUATION,
-    Token,
     TokenStream,
     tokenize,
 )
@@ -802,12 +800,11 @@ def _skip_toplevel_item(cur: _Cursor) -> None:
         cur.advance()
 
 
-def parse_file(tokens: Sequence[Token], path: str) -> SourceUnit:
-    """Parse a token stream into a source unit.
+def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
+    """Parse the stream :func:`tokenize` returns into a source unit.
 
-    ``tokens`` is what :func:`tokenize` returns, read without building a
-    :class:`Token`; any other token sequence (a hand-built list) is first
-    turned into a :class:`TokenStream` with :meth:`TokenStream.from_tokens`.
+    The parser reads the stream's code lists and builds no
+    :class:`~solmetrics.lexer.Token`.
 
     Every well-formed top-level contract/interface/library becomes one
     :class:`ContractDef`. A malformed top-level item, including a contract
@@ -818,8 +815,7 @@ def parse_file(tokens: Sequence[Token], path: str) -> SourceUnit:
     ``lines`` for :func:`line_accounting` and
     :func:`normalized_contract_text`.
     """
-    lines = tokens if isinstance(tokens, TokenStream) else TokenStream.from_tokens(tokens)
-    cur = _Cursor(lines)
+    cur = _Cursor(tokens)
     kinds, texts = cur.kinds, cur.texts
     pragma: str | None = None
     imports: list[str] = []
@@ -867,7 +863,7 @@ def parse_file(tokens: Sequence[Token], path: str) -> SourceUnit:
         path=path,
         pragma=pragma,
         contracts=contracts,
-        lines=lines,
+        lines=tokens,
         imports=imports,
         diagnostics=diagnostics,
     )

@@ -483,9 +483,12 @@ def welch_t_test(x, y) -> TTestResult:
         if mean_diff == 0.0:
             return TTestResult(0.0, float(nx + ny - 2), 1.0, 0.0, "welch", zero_variance=True)
         raise DegenerateInputError("both groups constant with different means")
-    se2 = vx / nx + vy / ny
+    ex, ey = vx / nx, vy / ny
+    se2 = ex + ey
     t = mean_diff * scale / math.sqrt(se2)
-    df = se2 * se2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
+    # squares by multiplication: ``**`` calls the C ``pow``, whose last bit
+    # depends on the libm
+    df = se2 * se2 / (ex * ex / (nx - 1) + ey * ey / (ny - 1))
     return TTestResult(t, df, _two_sided_p(t, df), mean_diff, "welch")
 
 

@@ -359,14 +359,14 @@ def test_criterion_8f_full_run_determinism_across_jobs(tmp_path, pooled):
         )
         assert code == 0
         payload = {
-            name: open(out / name, "rb").read()
+            name: (out / name).read_bytes()
             for name in sorted(os.listdir(out))
             if name != "run_manifest.json"
         }
         blobs.append(payload)
     assert pooled == [2, 4]
     assert blobs[0] == blobs[1] == blobs[2]
-    manifest_0 = json.load(open(tmp_path / "out1" / "run_manifest.json"))
+    manifest_0 = json.loads((tmp_path / "out1" / "run_manifest.json").read_text())
     assert set(manifest_0["outputs"]) == {n for n in blobs[0]}
     _report("8f full-run-determinism-across-jobs")
 

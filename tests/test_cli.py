@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -298,9 +299,9 @@ def test_analyze_writes_reports(corpus_dir, capsys):
     assert code == 0, err
     names = set(os.listdir(out))
     assert {"report.json", "run_manifest.json", "rq1.csv", "rq2.md", "rq3.json", "rq4.csv"} <= names
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert report["counts"] == {"vulnerable": 4, "neutral": 9}
-    manifest_data = json.load(open(os.path.join(out, "run_manifest.json")))
+    manifest_data = json.loads(Path(out, "run_manifest.json").read_text())
     assert manifest_data["config"]["seed"] == 42
     assert set(manifest_data["outputs"]) == names - {"run_manifest.json"}
 
@@ -313,8 +314,8 @@ def test_analyze_deterministic(corpus_dir, tmp_path, capsys):
             capsys, "analyze", "--manifest", manifest, "--root", root, "--out", out, "--jobs", "1"
         )
         assert code == 0
-    b1 = open(os.path.join(out1, "report.json"), "rb").read()
-    b2 = open(os.path.join(out2, "report.json"), "rb").read()
+    b1 = Path(out1, "report.json").read_bytes()
+    b2 = Path(out2, "report.json").read_bytes()
     assert b1 == b2
 
 
@@ -327,7 +328,7 @@ def test_analyze_jobs_invariant(corpus_dir, tmp_path, capsys, pooled):
             "analyze", "--manifest", manifest, "--root", root, "--out", out, "--jobs", jobs,
         )
         assert code == 0
-        outputs.append(open(os.path.join(out, "report.json"), "rb").read())
+        outputs.append(Path(out, "report.json").read_bytes())
     assert pooled == [3]
     assert outputs[0] == outputs[1]
 
@@ -342,7 +343,7 @@ def test_analyze_seed_changes_rq3(corpus_dir, tmp_path, capsys):
             "--seed", seed, "--jobs", "1",
         )
         assert code == 0
-        reports.append(json.load(open(os.path.join(out, "report.json"))))
+        reports.append(json.loads(Path(out, "report.json").read_text()))
     assert reports[0]["rq3"]["seed"] == 42 and reports[1]["rq3"]["seed"] == 43
     assert reports[0]["rq2"] == reports[1]["rq2"]  # seed only affects rq3
 
@@ -356,7 +357,7 @@ def test_analyze_significance_plumbing(corpus_dir, tmp_path, capsys):
         "--significance", "1e-15", "--jobs", "1",
     )
     assert code == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert not any(r["discriminative"] for r in report["rq3"]["rows"])
 
 
@@ -414,7 +415,7 @@ def test_single_runner_writes_only_its_files(corpus_dir, tmp_path, capsys, key):
     )
     assert code == 0
     configs = [
-        json.load(open(os.path.join(d, "run_manifest.json")))["config"] for d in (out, full)
+        json.loads(Path(d, "run_manifest.json").read_text())["config"] for d in (out, full)
     ]
     assert configs[0] == configs[1]
 

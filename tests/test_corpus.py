@@ -8,6 +8,7 @@ import os
 import pickle
 import re
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -470,14 +471,14 @@ def test_export_deterministic_bytes(make_corpus, tmp_path):
     p1, p2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
     export_metrics(s, p1, "csv")
     export_metrics(s, p2, "csv")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_export_csv_shape(make_corpus, tmp_path):
     s = _small_set(make_corpus)
     path = str(tmp_path / "metrics.csv")
     export_metrics(s, path, "csv")
-    lines = open(path, encoding="utf-8").read().strip().split("\n")
+    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("file,contract,sloc,")
     assert lines[0].endswith(",label,type")
@@ -509,7 +510,7 @@ def _with_avg_nl(fields, cell):
 
 
 def _rewrite_csv_row(path, index, edit):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     fields = lines[index].split(",")
     lines[index] = ",".join(edit(fields))
     with open(path, "w", encoding="utf-8") as fh:
@@ -573,7 +574,7 @@ def test_import_csv_rejects_bad_row(make_corpus, tmp_path, edit, message):
 def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, message):
     path = str(tmp_path / "metrics.json")
     export_metrics(_small_set(make_corpus), path, "json")
-    payload = json.load(open(path, encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     row = payload["rows"][1]
     (row["metrics"] if field in row["metrics"] else row)[field] = value
     with open(path, "w", encoding="utf-8") as fh:
@@ -585,7 +586,7 @@ def test_import_json_rejects_bad_row(make_corpus, tmp_path, field, value, messag
 def test_import_json_takes_an_integer_for_a_float_metric(make_corpus, tmp_path):
     path = str(tmp_path / "metrics.json")
     export_metrics(_small_set(make_corpus), path, "json")
-    payload = json.load(open(path, encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     payload["rows"][1]["metrics"]["avg_nl"] = 2
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)

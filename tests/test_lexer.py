@@ -26,7 +26,7 @@ def kinds_and_texts(tokens):
 
 
 def test_empty_input():
-    assert tokenize("") == []
+    assert len(tokenize("")) == 0 and list(tokenize("")) == []
 
 
 def test_line_comment_then_contract():

@@ -5,18 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NESTING_SHAPES, nested_source
 from golden_corpus import GOLDEN
-from solmetrics.errors import LexError
 from solmetrics.lexer import tokenize
 from solmetrics.nodes import FunctionMetrics
-from solmetrics.parser import (
-    MAX_NESTING,
-    line_accounting,
-    normalized_contract_text,
-    parse_file,
-    parse_source,
-)
+from solmetrics.parser import MAX_NESTING, parse_source
 from test_function_metrics import fn_metrics
-from test_parse_pin import base_sources, mutate
 
 BODYLESS = FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
 
@@ -113,10 +105,18 @@ _STRUCTURE = tokenize(
 _GOLDEN_VOCABULARY = list({t.text: t for tokens in _GOLDEN_TOKENS for t in tokens}.values())
 
 
+def _parse_soup(tokens, path):
+    # one token per line re-lexes to the same code tokens, so the parser
+    # reads exactly the soup's code texts
+    text = "\n".join(t.text for t in tokens)
+    assert tokenize(text).texts[:-1] == [t.text for t in tokens if not t.is_comment]
+    parse_source(text, path)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_STRUCTURE) | st.sampled_from(_GOLDEN_VOCABULARY), max_size=40))
 def test_parse_file_never_raises_on_token_soup(tokens):
-    parse_file(tokens, "soup.sol")
+    _parse_soup(tokens, "soup.sol")
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,32 +132,7 @@ def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
     rest = tokens[start + length :]
     head = tokens[:start]
     mutated = {"delete": head + rest, "duplicate": head + piece + piece + rest, "truncate": head}[op]
-    parse_file(mutated, "mutant.sol")
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(sorted(base_sources().values())),
-    st.booleans(),
-    st.randoms(use_true_random=False),
-)
-def test_token_stream_and_token_list_parse_alike(source, mutated, rng):
-    # the lexer's stream is read through its code lists, a plain list of
-    # the same tokens through TokenStream.from_tokens
-    if mutated:
-        source = mutate(source, rng)
-    try:
-        stream = tokenize(source)
-    except LexError:
-        return
-    from_stream = parse_file(stream, "x.sol")
-    from_list = parse_file(list(stream), "x.sol")
-    assert from_stream == from_list  # contracts, diagnostics, pragma and imports
-    for contract in from_stream.contracts:
-        assert line_accounting(from_stream, contract) == line_accounting(from_list, contract)
-        assert normalized_contract_text(from_stream, contract) == normalized_contract_text(
-            from_list, contract
-        )
+    _parse_soup(mutated, "mutant.sol")
 
 
 def test_pragma_and_imports_recorded():

@@ -411,6 +411,13 @@ def test_welch_keeps_groups_whose_squares_underflow():
     assert not r.zero_variance and 0.0 < r.p_value < 1.0
 
 
+def test_welch_df_squares_by_multiplication():
+    # found by search: with ``(vx / nx) ** 2`` a libm whose ``pow`` is not
+    # correctly rounded (glibc 2.36) gives df 2.0761756717245654
+    r = welch_t_test([16.4, 79.2, 76.8], [88.2, 82.5])
+    assert r.degrees_of_freedom == 2.076175671724565
+
+
 def test_welch_constant_groups():
     r = welch_t_test([2, 2, 2], [2, 2])
     assert r.zero_variance and r.p_value == 1.0
