@@ -16,12 +16,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import CorpusError, LexError
 from .inheritance import InheritanceGraph, build_inheritance_graph
 from .lexer import tokenize
-from .metrics import METRIC_NAMES, ContractMetrics, contract_metrics
+from .metrics import METRIC_FIELDS, METRIC_NAMES, ContractMetrics, contract_metrics
+from .nodes import Record
 from .parser import line_accounting, normalized_contract_text, parse_file
 
 LABEL_VULNERABLE = "vulnerable"
@@ -44,23 +45,20 @@ MANIFEST_HEADER = ("file", "contract", "label", "type")
 POOL_BREAK_EVEN_BYTES = 120_000
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     file: str
     contract: str
     label: str
     vuln_type: str | None = None
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     entries: tuple[ManifestEntry, ...]
     path: str
     content_hash: str
 
 
-@dataclass(frozen=True)
-class ContractRow:
+class ContractRow(NamedTuple):
     file: str
     contract: str
     metrics: ContractMetrics
@@ -72,13 +70,20 @@ class ContractRow:
         return f"{self.file}:{self.contract}"
 
 
-@dataclass
-class LabeledContractSet:
-    rows: list[ContractRow]
-    n_vulnerable: int
-    n_neutral: int
-    provenance: tuple[str, str] = field(default=("", ""), compare=False)
-    diagnostics: list[str] = field(default_factory=list, compare=False)
+class LabeledContractSet(Record):
+    """The labeled rows of a corpus. ``provenance`` (the manifest or table
+    path and its sha256) and ``diagnostics`` take no part in equality."""
+
+    _fields = ("rows", "n_vulnerable", "n_neutral")
+    __slots__ = _fields + ("provenance", "diagnostics")
+
+    def __init__(self, rows: list[ContractRow], n_vulnerable: int, n_neutral: int,
+                 provenance: tuple[str, str] = ("", ""), diagnostics: list[str] | None = None):
+        self.rows = rows
+        self.n_vulnerable = n_vulnerable
+        self.n_neutral = n_neutral
+        self.provenance = provenance
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -148,8 +153,7 @@ def load_manifest(path: str) -> CorpusManifest:
     return CorpusManifest(tuple(entries), path, content_hash)
 
 
-@dataclass
-class ContractFacts:
+class ContractFacts(NamedTuple):
     """One parsed contract as a worker sends it back, without its parse tree."""
 
     name: str
@@ -158,12 +162,15 @@ class ContractFacts:
     metrics: ContractMetrics
 
 
-@dataclass
-class _ParsedFile:
-    path: str
-    error: str | None = None
-    contracts: list[ContractFacts] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
+class _ParsedFile(Record):
+    _fields = __slots__ = ("path", "error", "contracts", "diagnostics")
+
+    def __init__(self, path: str, error: str | None = None,
+                 contracts: list[ContractFacts] | None = None, diagnostics: list[str] | None = None):
+        self.path = path
+        self.error = error
+        self.contracts = [] if contracts is None else contracts
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
@@ -277,10 +284,13 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
         parsed = [_parse_sol_file(t) for t in tasks]
     graph = build_inheritance_graph(parsed)
     for pf in parsed:
-        for facts in pf.contracts:
+        for i, facts in enumerate(pf.contracts):
             key = (pf.path, facts.name)
             m = facts.metrics
-            m.dit, m.noa, m.nod = graph.dit(key), graph.noa(key), graph.nod(key)
+            tree = graph.dit(key), graph.noa(key), graph.nod(key)
+            if tree != (m.dit, m.noa, m.nod):  # as the contract measured alone
+                dit, noa, nod = tree
+                pf.contracts[i] = facts._replace(metrics=m._replace(dit=dit, noa=noa, nod=nod))
     return parsed
 
 
@@ -343,8 +353,8 @@ def ingest(
 
 EXPORT_HEADER = ("file", "contract") + METRIC_NAMES + ("label", "type")
 
-# Each metric's value type, as its ContractMetrics field declares it.
-_METRIC_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(ContractMetrics)}
+# Each metric's value type, as METRIC_FIELDS declares it.
+_METRIC_TYPES = dict(METRIC_FIELDS)
 
 
 def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv") -> str:

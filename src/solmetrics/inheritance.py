@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CorpusError
 from .nodes import SourceUnit
 
 ContractKey = tuple[str, str]  # (file path, contract name)
 
 
-@dataclass
 class InheritanceGraph:
     """Derived-to-base edges over every contract in a corpus.
 
@@ -21,12 +18,15 @@ class InheritanceGraph:
     and an unknown key reads 0.
     """
 
-    nodes: set[ContractKey] = field(default_factory=set)
-    edges: set[tuple[ContractKey, ContractKey]] = field(default_factory=set)
-    unresolved_bases: set[tuple[ContractKey, str]] = field(default_factory=set)
-    _dit: dict[ContractKey, int] = field(default_factory=dict, repr=False)
-    _noa: dict[ContractKey, int] = field(default_factory=dict, repr=False)
-    _nod: dict[ContractKey, int] = field(default_factory=dict, repr=False)
+    __slots__ = ("nodes", "edges", "unresolved_bases", "_dit", "_noa", "_nod")
+
+    def __init__(self) -> None:
+        self.nodes: set[ContractKey] = set()
+        self.edges: set[tuple[ContractKey, ContractKey]] = set()
+        self.unresolved_bases: set[tuple[ContractKey, str]] = set()
+        self._dit: dict[ContractKey, int] = {}
+        self._noa: dict[ContractKey, int] = {}
+        self._nod: dict[ContractKey, int] = {}
 
     def dit(self, key: ContractKey) -> int:
         """Longest ancestor path; an unresolved base is a path of length 1."""

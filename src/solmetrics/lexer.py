@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -114,8 +114,7 @@ def _mark(flags: bytearray, first: int, last: int) -> None:
     flags[first : last + 1] = b"\x01" * (last + 1 - first)
 
 
-@dataclass(slots=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token. ``span`` is (start_line, start_col, end_line, end_col)."""
 
     kind: str

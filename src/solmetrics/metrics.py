@@ -8,7 +8,7 @@ counts, plus six per-function averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .inheritance import InheritanceGraph
 from .nodes import ContractDef, FunctionMetrics, LineCounts
@@ -38,43 +38,30 @@ DISPLAY_NAMES: dict[str, str] = {
 }
 
 
-@dataclass(slots=True)
-class ContractMetrics:
-    sloc: int
-    lloc: int
-    cloc: int
-    nf: int
-    wmc: int
-    nl: int
-    nle: int
-    numpar: int
-    nos: int
-    dit: int
-    noa: int
-    nod: int
-    cbo: int
-    na: int
-    noi: int
-    avg_mccc: float
-    avg_nl: float
-    avg_nle: float
-    avg_numpar: float
-    avg_nos: float
-    avg_noi: float
+# Each metric's name and value type, in the column order of every metric table.
+METRIC_FIELDS: tuple[tuple[str, type], ...] = (
+    ("sloc", int), ("lloc", int), ("cloc", int), ("nf", int), ("wmc", int), ("nl", int),
+    ("nle", int), ("numpar", int), ("nos", int), ("dit", int), ("noa", int), ("nod", int),
+    ("cbo", int), ("na", int), ("noi", int), ("avg_mccc", float), ("avg_nl", float),
+    ("avg_nle", float), ("avg_numpar", float), ("avg_nos", float), ("avg_noi", float),
+)
+METRIC_NAMES: tuple[str, ...] = tuple(name for name, _ in METRIC_FIELDS)
+
+
+class ContractMetrics(NamedTuple("ContractMetrics", METRIC_FIELDS)):
+    """One contract's metrics: a tuple in ``METRIC_NAMES`` order."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int | float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(METRIC_NAMES, self))
 
     def as_row(self) -> list[int | float]:
-        return [getattr(self, name) for name in METRIC_NAMES]
+        return list(self)
 
     def as_cells(self) -> list[str]:
         """The values as table cells; a float's repr reads back exactly."""
-        return [repr(v) if isinstance(v, float) else str(v) for v in self.as_row()]
-
-
-# The field order is the column order of every metric table.
-METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(ContractMetrics))
+        return [repr(v) if isinstance(v, float) else str(v) for v in self]
 
 
 def contract_metrics(

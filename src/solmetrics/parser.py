@@ -41,7 +41,6 @@ from .nodes import (
     FunctionMetrics,
     LineCounts,
     SourceUnit,
-    StateVarDecl,
 )
 
 # Deepest nesting of statements inside one function body. Each level costs
@@ -625,7 +624,7 @@ def _parse_function_like(cur: _Cursor, kind: str) -> FunctionDef:
     return FunctionDef(name, kind, params, metrics)
 
 
-def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
+def _parse_state_var(cur: _Cursor) -> str | None:
     lo, hi, opaque = _collect_generic_run(cur)
     if opaque or lo == hi:
         return None
@@ -635,7 +634,7 @@ def _parse_state_var(cur: _Cursor) -> StateVarDecl | None:
         return None
     _add_type_refs(cur, lo, type_end, cur.type_refs)
     _scan_expression(cur, lhs_end + 1, hi, cur.type_refs)
-    return StateVarDecl(name)
+    return name
 
 
 def _parse_type_decl(cur: _Cursor) -> str:
@@ -674,15 +673,7 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
     if not cur.check("{"):
         raise ParseError(f"expected '{{' in {kind} '{name}' header", cur.line())
     opener = cur.advance()
-    contract = ContractDef(
-        name=name,
-        kind=kind,
-        base_names=base_names,
-        state_vars=[],
-        functions=[],
-        span=(first_line, cur.ends[opener]),
-        type_refs=type_refs,
-    )
+    contract = ContractDef(name, kind, base_names, (first_line, cur.ends[opener]), type_refs)
     while not cur.check("}"):
         if cur.i == cur.n:
             raise ParseError(f"unbalanced braces in {kind} '{name}'", cur.starts[opener])
@@ -859,14 +850,7 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
             diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
             cur.depth = 0
             _recover_to_top_level(cur)
-    return SourceUnit(
-        path=path,
-        pragma=pragma,
-        contracts=contracts,
-        lines=tokens,
-        imports=imports,
-        diagnostics=diagnostics,
-    )
+    return SourceUnit(path, pragma, contracts, tokens, imports, diagnostics)
 
 
 def parse_source(source: str, path: str = "<string>") -> SourceUnit:

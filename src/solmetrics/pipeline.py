@@ -15,9 +15,8 @@ them to all four, which share each column's ranks and moments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import compress
-from operator import attrgetter
+from typing import NamedTuple
 
 from .config import ANALYSES, RunConfig
 from .corpus import LABEL_VULNERABLE, LabeledContractSet
@@ -44,42 +43,36 @@ HIGHER_IN_NEUTRAL = "higher-in-neutral"
 OVERLAPPING = "overlapping"
 
 
-@dataclass(frozen=True)
-class RedundancyFinding:
+class RedundancyFinding(NamedTuple):
     group: str
     rho: float
     p_value: float
     reliable: bool
 
 
-@dataclass(frozen=True)
-class RedundantPair:
+class RedundantPair(NamedTuple):
     metric_a: str
     metric_b: str
     findings: tuple[RedundancyFinding, ...]
 
 
-@dataclass(frozen=True)
-class Rq1Section:
+class Rq1Section(NamedTuple):
     vulnerable: CorrelationMatrix
     neutral: CorrelationMatrix
     redundant_pairs: tuple[RedundantPair, ...]
     threshold: float
 
 
-@dataclass(frozen=True)
-class Rq2Row:
+class Rq2Row(NamedTuple):
     metric: str
     result: SpearmanResult | None  # None: metric column constant
 
 
-@dataclass(frozen=True)
-class Rq2Section:
+class Rq2Section(NamedTuple):
     rows: tuple[Rq2Row, ...]
 
 
-@dataclass(frozen=True)
-class Rq3Row:
+class Rq3Row(NamedTuple):
     metric: str
     paired: TTestResult | None
     welch: TTestResult | None
@@ -87,39 +80,34 @@ class Rq3Row:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class Rq3Section:
+class Rq3Section(NamedTuple):
     rows: tuple[Rq3Row, ...]
     seed: int
     sample_size: int
 
 
-@dataclass(frozen=True)
-class Rq4Row:
+class Rq4Row(NamedTuple):
     metric: str
     vulnerable: ConfidenceInterval
     neutral: ConfidenceInterval
     direction: str
 
 
-@dataclass(frozen=True)
-class Rq4Section:
+class Rq4Section(NamedTuple):
     rows: tuple[Rq4Row, ...]
     level: float
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     rq1: Rq1Section
     rq2: Rq2Section
     rq3: Rq3Section
     rq4: Rq4Section
     counts: tuple[int, int]
-    config: dict = field(default_factory=dict)
+    config: dict  # the run_manifest.json config block
 
 
-@dataclass(frozen=True)
-class MetricColumns:
+class MetricColumns(NamedTuple):
     """The metric columns of a labeled set, as :class:`Sample`s in ``METRIC_NAMES`` order.
 
     ``pooled`` holds each metric over all rows, ``vulnerable`` and
@@ -139,8 +127,7 @@ def metric_columns(data: LabeledContractSet | MetricColumns) -> MetricColumns:
     """The columns of ``data``; columns already built are returned as they are."""
     if isinstance(data, MetricColumns):
         return data
-    row_of = attrgetter(*METRIC_NAMES)
-    table = [row_of(r.metrics) for r in data.rows]
+    table = [r.metrics for r in data.rows]
     flags = [r.label == LABEL_VULNERABLE for r in data.rows]
     pooled, vulnerable, neutral = (
         [Sample(col, name) for name, col in zip(METRIC_NAMES, zip(*rows))]

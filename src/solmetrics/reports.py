@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from typing import Any
 
 from .metrics import DISPLAY_NAMES
@@ -33,12 +32,22 @@ def _matrix_dict(m: CorrelationMatrix) -> dict[str, Any]:
     }
 
 
+def _plain(value: Any) -> Any:
+    """``value`` as JSON holds it: a NamedTuple, such as a section, row or
+    test result, becomes an object keyed by its fields, any other tuple a
+    list; both recursively."""
+    if isinstance(value, tuple):
+        items = list(map(_plain, value))
+        return dict(zip(value._fields, items)) if hasattr(value, "_fields") else items
+    return value
+
+
 def rq1_dict(section: Rq1Section) -> dict[str, Any]:
     return {
         "threshold": section.threshold,
         "vulnerable_matrix": _matrix_dict(section.vulnerable),
         "neutral_matrix": _matrix_dict(section.neutral),
-        "redundant_pairs": [asdict(p) for p in section.redundant_pairs],
+        "redundant_pairs": _plain(section.redundant_pairs),
     }
 
 
@@ -167,9 +176,9 @@ _TITLES = {
 # rq2-rq4 serialize field by field; rq1's matrices have their own shape
 _SECTION_IO = {
     "rq1": (rq1_dict, _rq1_table),
-    "rq2": (asdict, _rq2_table),
-    "rq3": (asdict, _rq3_table),
-    "rq4": (asdict, _rq4_table),
+    "rq2": (_plain, _rq2_table),
+    "rq3": (_plain, _rq3_table),
+    "rq4": (_plain, _rq4_table),
 }
 
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import mul, sub
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, InputError
 
@@ -33,15 +33,13 @@ STRENGTH_MEDIUM = "medium"
 STRENGTH_STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class RankedVector:
+class RankedVector(NamedTuple):
     values: tuple[float, ...]
     ranks: tuple[float, ...]
     n: int
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
+class SpearmanResult(NamedTuple):
     rho: float
     p_value: float
     n: int
@@ -49,8 +47,7 @@ class SpearmanResult:
     significant: bool
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t_statistic: float
     degrees_of_freedom: float
     p_value: float
@@ -59,8 +56,7 @@ class TTestResult:
     zero_variance: bool = False
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(NamedTuple):
     mean: float
     lower: float
     upper: float
@@ -68,8 +64,7 @@ class ConfidenceInterval:
     n: int
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     metric_ids: tuple[str, ...]
     entries: tuple[tuple[SpearmanResult | None, ...], ...]
 

@@ -3,7 +3,8 @@
 ``metrics`` and ``export`` compute no statistic, so neither they nor a bare
 ``import solmetrics`` / ``import solmetrics.cli`` may load numpy, the
 statistics layer or a process pool; ``analyze`` loads neither numpy nor
-scipy.
+scipy. No entry point loads ``dataclasses`` or the ``inspect`` module it
+imports: the package generates no class code at import.
 Each check runs in a fresh interpreter, since this test process has long
 since loaded all of them.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -33,6 +35,10 @@ STATISTICS_MODULES = (
     "concurrent.futures",
     "multiprocessing",
 )
+
+# Importing these, and the class code dataclasses generate, cost more than
+# the package's own modules on a cold start.
+CODEGEN_MODULES = ("dataclasses", "inspect")
 
 # Runs the given statement, then prints which of the modules are loaded.
 _PROBE = """
@@ -99,7 +105,7 @@ def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
         statement = _cli_statement(argv + ["--format", "csv,json", "--jobs", "1"])
     else:
         statement = IMPORTS[entry]
-    result = run_python(_PROBE.format(statement=statement), *STATISTICS_MODULES)
+    result = run_python(_PROBE.format(statement=statement), *STATISTICS_MODULES, *CODEGEN_MODULES)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
     if entry == "export":
@@ -116,6 +122,38 @@ def test_analyze_loads_neither_numpy_nor_scipy(golden_corpus):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
     assert "rq1.csv" in os.listdir(tmp / "out")
+
+
+@pytest.mark.parametrize("command", ["analyze", *cli.ANALYSES])
+def test_analysis_commands_load_neither_dataclasses_nor_inspect(command, golden_corpus):
+    manifest, root, tmp = golden_corpus
+    argv = [command, "--manifest", manifest, "--root", root, "--out", str(tmp / "out")]
+    statement = _cli_statement(argv + ["--jobs", "1"], exit_codes=(0, 2))
+    result = run_python(_PROBE.format(statement=statement), *CODEGEN_MODULES)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_parse_result_round_trips_through_pickle(golden_corpus):
+    # a pool worker's result reaches the parent pickled: unpickled, it must
+    # give the same facts, with base names still a list; besides the golden
+    # files, one file has a diagnostic and one a lex error
+    manifest, root, tmp = golden_corpus
+    with open(os.path.join(root, "dup.sol"), "w", encoding="utf-8") as fh:
+        fh.write("contract A is B {}\ncontract A {}\n")
+    with open(os.path.join(root, "bad.sol"), "w", encoding="utf-8") as fh:
+        fh.write("contract A {} /* open")
+    for file in sorted(os.listdir(root)):
+        sent = corpus._parse_sol_file((root, file))
+        got = pickle.loads(pickle.dumps(sent))
+        assert type(got) is corpus._ParsedFile and got == sent
+        assert [(c.name, c.base_names, c.digest, c.metrics.as_cells()) for c in got.contracts] == [
+            (c.name, c.base_names, c.digest, c.metrics.as_cells()) for c in sent.contracts
+        ]
+        assert all(type(c.base_names) is list for c in got.contracts)
+        assert [type(c.metrics) for c in got.contracts] == [type(c.metrics) for c in sent.contracts]
+        assert bool(got.contracts) == (file != "bad.sol") and bool(got.error) == (file == "bad.sol")
+        assert bool(got.diagnostics) == (file == "dup.sol")
 
 
 def _read_tree(path) -> dict[str, bytes]:

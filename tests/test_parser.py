@@ -185,7 +185,7 @@ def test_contract_level_declarations():
     }"""
     unit = parse_source(src)
     c = unit.contracts[0]
-    assert [v.name for v in c.state_vars] == ["a", "balances", "token"]
+    assert c.state_vars == ["a", "balances", "token"]
     assert c.events == ["Done"] and c.structs == ["S"] and c.enums == ["E"]
     assert c.declaration_count == 6
 
@@ -302,7 +302,7 @@ def test_function_typed_state_variable():
     }"""
     unit = parse_source(src)
     c = unit.contracts[0]
-    assert [v.name for v in c.state_vars] == ["hook", "checker"]
+    assert c.state_vars == ["hook", "checker"]
     assert [f.name for f in c.functions] == ["run"]
 
 

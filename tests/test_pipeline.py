@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from golden_corpus import GOLDEN
 from solmetrics import stats
-from solmetrics.corpus import ContractRow, LabeledContractSet
+from solmetrics.corpus import ContractRow, LabeledContractSet, ingest, load_manifest
 from solmetrics.errors import InputError
 from solmetrics.metrics import METRIC_NAMES, ContractMetrics
 from solmetrics.pipeline import (
     HIGHER_IN_NEUTRAL,
     HIGHER_IN_VULNERABLE,
     OVERLAPPING,
+    RedundancyFinding,
+    RedundantPair,
+    Rq2Row,
+    Rq3Row,
+    Rq4Row,
     RunConfig,
     metric_columns,
     rq1_redundancy,
@@ -20,6 +27,7 @@ from solmetrics.pipeline import (
     rq4_interval_comparison,
     run_analysis,
 )
+from solmetrics.stats import ConfidenceInterval, SpearmanResult, TTestResult
 
 _INT_METRICS = set(METRIC_NAMES[:15])
 
@@ -336,6 +344,42 @@ def test_run_analysis_report_structure():
     assert [r.metric for r in report.rq2.rows] == list(METRIC_NAMES)
     assert [r.metric for r in report.rq3.rows] == list(METRIC_NAMES)
     assert [r.metric for r in report.rq4.rows] == list(METRIC_NAMES)
+
+
+def test_report_json_holds_every_row_and_result_as_an_object(make_corpus):
+    # The rows and results are NamedTuples, which json.dump would write as
+    # lists; report_to_dict must turn each into an object keyed by its fields.
+    from solmetrics.reports import report_to_dict
+
+    files = {f"{name}.sol": source for name, (source, _) in GOLDEN.items()}
+    keys = [(f"{name}.sol", c) for name, (_, expected) in sorted(GOLDEN.items()) for c in expected]
+    entries = [
+        (file, contract, *(("vulnerable", "RE") if i % 3 == 0 else ("neutral", None)))
+        for i, (file, contract) in enumerate(sorted(keys))
+    ]
+    manifest, root = make_corpus(files, entries)
+    report = run_analysis(ingest(load_manifest(manifest), root), RunConfig(seed=1))
+    payload = json.loads(json.dumps(report_to_dict(report)))
+
+    def is_object_of(value, cls) -> bool:
+        return isinstance(value, dict) and list(value) == list(cls._fields)
+
+    def is_object_or_null(value, cls) -> bool:
+        return value is None or is_object_of(value, cls)
+
+    pairs = payload["rq1"]["redundant_pairs"]
+    assert pairs and all(is_object_of(p, RedundantPair) for p in pairs)
+    assert all(is_object_of(f, RedundancyFinding) for p in pairs for f in p["findings"])
+    rows = {key: payload[key]["rows"] for key in ("rq2", "rq3", "rq4")}
+    assert all(len(r) == len(METRIC_NAMES) for r in rows.values())
+    for row in rows["rq2"]:
+        assert is_object_of(row, Rq2Row) and is_object_or_null(row["result"], SpearmanResult)
+    for row in rows["rq3"]:
+        assert is_object_of(row, Rq3Row)
+        assert all(is_object_or_null(row[k], TTestResult) for k in ("paired", "welch"))
+    for row in rows["rq4"]:
+        assert is_object_of(row, Rq4Row)
+        assert all(is_object_of(row[k], ConfidenceInterval) for k in ("vulnerable", "neutral"))
 
 
 def test_run_analysis_ranks_each_column_once(monkeypatch):

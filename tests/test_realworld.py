@@ -261,4 +261,4 @@ def test_struct_with_mapping_member_opaque():
     unit = parse_source(src)
     c = unit.contracts[0]
     assert c.structs == ["S"]
-    assert [v.name for v in c.state_vars] == ["x"]
+    assert c.state_vars == ["x"]
