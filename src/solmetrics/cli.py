@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import ANALYSES, RunConfig, check_jobs
+from .config import ANALYSES, FORMATS, RunConfig, check_jobs
 from .corpus import available_cpus, export_metrics, ingest, load_manifest, parse_files
 from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
@@ -60,7 +60,7 @@ def __getattr__(name: str):
 
 def _formats(value: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in value.split(",") if p.strip())
-    unknown = set(parts) - {"csv", "json", "md"}
+    unknown = set(parts) - set(FORMATS)
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown format(s): {', '.join(sorted(unknown))}")
     return parts
@@ -74,7 +74,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ci-level", type=float, default=0.95)
     sub.add_argument("--redundancy-threshold", type=float, default=0.9)
     sub.add_argument("--significance", type=float, default=0.05)
-    sub.add_argument("--format", type=_formats, default=("csv", "json", "md"))
+    sub.add_argument("--format", type=_formats, default=FORMATS)
     sub.add_argument("--jobs", type=int, default=available_cpus())
 
 

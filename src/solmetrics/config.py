@@ -10,6 +10,7 @@ from __future__ import annotations
 from .errors import InputError
 
 ANALYSES = ("rq1", "rq2", "rq3", "rq4")
+FORMATS = ("csv", "json", "md")
 
 
 def check_jobs(jobs: int) -> None:
@@ -29,7 +30,7 @@ class RunConfig:
     def __init__(
         self, source_root: str = "", manifest: str = "", output_dir: str = "", seed: int = 42,
         ci_level: float = 0.95, redundancy_threshold: float = 0.9, significance: float = 0.05,
-        formats: tuple[str, ...] = ("csv", "json", "md"), jobs: int = 1,
+        formats: tuple[str, ...] = FORMATS, jobs: int = 1,
     ) -> None:
         if not 0.0 < ci_level < 1.0:
             raise InputError("ci_level must lie strictly between 0 and 1")
@@ -38,7 +39,7 @@ class RunConfig:
         if not 0.0 < redundancy_threshold <= 1.0:
             raise InputError("redundancy_threshold must lie in (0, 1]")
         check_jobs(jobs)
-        unknown = set(formats) - {"csv", "json", "md"}
+        unknown = set(formats) - set(FORMATS)
         if unknown:
             raise InputError(f"unknown formats: {sorted(unknown)}")
         self.source_root = source_root

@@ -47,6 +47,14 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
     Reads only each unit's ``path`` and its contracts' ``name`` and
     ``base_names``, so per-file metric facts serve as well as parse trees.
 
+    One pass serves every inheritance shape. A post-order DFS over the base
+    edges finishes each contract after its bases: its DIT is one more than
+    its deepest base's, and its resolved ancestors are a Python-int bitset,
+    the OR of its bases' sets and bits. A reverse pass ORs each contract's
+    descendants and bit into its bases. NOA and NOD are bit counts, plus
+    NOA's own unresolved base names. A set is dropped once its last reader
+    has read it.
+
     Raises :class:`CorpusError` naming the cycle if the resolved subgraph
     is cyclic.
     """
@@ -76,12 +84,9 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
                     unresolved.setdefault(key, set()).add(base_name)
             bases_of[key] = bases
             graph.edges.update((key, base) for base in bases)
-    order = _check_acyclic(graph, bases_of, unresolved)
-    # Ancestor sets can overlap only in a component (contracts joined by
-    # base edges either way) where some contract has two resolved bases.
-    # Elsewhere each contract has at most one base, so its resolved ancestors
-    # are its base's plus the base, and its descendants are its children's
-    # plus the children: linear in the number of contracts.
+    # A contract's bit numbers it among the contracts of its component
+    # (contracts joined by base edges either way) in the order they finish,
+    # so a set is as wide as the component, not the corpus.
     component = {key: key for key in graph.nodes}
 
     def root(key: ContractKey) -> ContractKey:
@@ -91,68 +96,57 @@ def build_inheritance_graph(corpus: list[SourceUnit]) -> InheritanceGraph:
 
     for key, base in graph.edges:
         component[root(key)] = root(base)
-    overlapping = {root(key) for key, bases in bases_of.items() if len(set(bases)) > 1}
-    ancestors: dict[ContractKey, int] = {}
-    nod = graph._nod = dict.fromkeys(graph.nodes, 0)
-    for key in order:  # every contract after its bases
-        bases = bases_of[key]
-        if root(key) in overlapping:
-            # one walk over the resolved ancestors; the set is dropped after it
-            seen: set[ContractKey] = set()
-            stack = list(bases)
-            while stack:
-                k = stack.pop()
-                if k not in seen:
-                    seen.add(k)
-                    nod[k] += 1
-                    stack.extend(bases_of[k])
-            ancestors[key] = len(seen)
-        else:
-            ancestors[key] = ancestors[bases[0]] + 1 if bases else 0
-        graph._noa[key] = ancestors[key] + len(unresolved.get(key, ()))
-    for key in reversed(order):  # every contract before its bases
-        bases = bases_of[key]
-        if bases and root(key) not in overlapping:
-            nod[bases[0]] += nod[key] + 1
-    return graph
-
-
-def _check_acyclic(
-    graph: InheritanceGraph,
-    bases_of: dict[ContractKey, list[ContractKey]],
-    unresolved: dict[ContractKey, set[str]],
-) -> list[ContractKey]:
-    """Post-order DFS over the base edges with an explicit stack. It records
-    each contract's DIT when it finishes the contract, after all its bases,
-    and returns the contracts in that finishing order; a base still on the
-    path is a cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[ContractKey, int] = {k: WHITE for k in graph.nodes}
+    bit: dict[ContractKey, int] = {}
+    last_bit: dict[ContractKey, int] = {}  # per component root
+    readers = dict.fromkeys(graph.nodes, 0)  # reads of a contract's set still to come
+    for bases in bases_of.values():
+        for base in bases:
+            readers[base] += 1
+    inherited: dict[ContractKey, int] = {}  # a contract's ancestors and itself
     order: list[ContractKey] = []
+    path: dict[ContractKey, None] = {}  # the DFS path in order; a base on it is a cycle
     for start in sorted(graph.nodes):
-        if color[start] != WHITE:
+        if start in bit:
             continue
-        stack: list[tuple[ContractKey, int]] = [(start, 0)]
-        path: list[ContractKey] = []
+        stack = [(start, 0)]
         while stack:
             node, idx = stack.pop()
             if idx == 0:
-                color[node] = GRAY
-                path.append(node)
+                path[node] = None
             bases = bases_of[node]
             if idx < len(bases):
                 stack.append((node, idx + 1))
                 nxt = bases[idx]
-                if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt) :] + [nxt]
+                if nxt in path:
+                    cycle = [*path]
+                    cycle = cycle[cycle.index(nxt) :] + [nxt]
                     names = " -> ".join(f"{p}:{n}" for p, n in cycle)
                     raise CorpusError(f"inheritance cycle: {names}")
-                if color[nxt] == WHITE:
+                if nxt not in bit:
                     stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                path.pop()
-                order.append(node)
-                best = 1 if node in unresolved else 0
-                graph._dit[node] = max([best] + [1 + graph._dit[b] for b in bases])
-    return order
+                continue
+            # finish the contract after all its bases
+            path.popitem()
+            order.append(node)
+            top = root(node)
+            bit[node] = last_bit[top] = last_bit.get(top, -1) + 1
+            dit = 1 if node in unresolved else 0
+            ancestors = 0
+            for base in bases:
+                dit = max(dit, graph._dit[base] + 1)
+                ancestors |= inherited[base]
+                readers[base] -= 1
+                if not readers[base]:
+                    del inherited[base]
+            graph._dit[node] = dit
+            graph._noa[node] = ancestors.bit_count() + len(unresolved.get(node, ()))
+            if readers[node]:
+                inherited[node] = ancestors | 1 << bit[node]
+    descendants: dict[ContractKey, int] = {}
+    for key in reversed(order):  # every contract before its bases
+        below = descendants.pop(key, 0)
+        graph._nod[key] = below.bit_count()
+        below |= 1 << bit[key]
+        for base in bases_of[key]:
+            descendants[base] = descendants.get(base, 0) | below
+    return graph

@@ -198,8 +198,8 @@ def write_section(
     outdir: str,
     formats: tuple[str, ...],
 ) -> list[str]:
-    """Write one analysis section's table files; returns written file names."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write one analysis section's table files into the existing ``outdir``;
+    returns written file names."""
     to_dict, to_table = _SECTION_IO[key]
     written: list[str] = []
     if "json" in formats:

@@ -11,6 +11,8 @@ import pytest
 from conftest import NESTING_SHAPES, nested_source
 from solmetrics import cli, corpus
 from solmetrics.cli import main
+from solmetrics.config import RunConfig
+from solmetrics.errors import InputError
 from solmetrics.parser import MAX_NESTING
 
 GOOD = "contract A {\n  uint x;\n  function f() public { x = 1; }\n}"
@@ -393,6 +395,20 @@ def test_metrics_and_analyze_reject_jobs_below_one(corpus_dir, capsys, jobs):
         capsys, "analyze", "--manifest", manifest, "--root", root, "--out", out, "--jobs", jobs
     )
     assert metrics == analyze == (1, "", "jobs must be at least 1\n")
+
+
+def test_unknown_format_messages(tmp_path, capsys):
+    # argparse rejects --format before anything is read; RunConfig checks the
+    # same set of names for callers that build it directly
+    argv = ["export", "--manifest", "m.csv", "--root", ".", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv,xml"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(": error: argument --format: unknown format(s): xml")
+    with pytest.raises(InputError) as exc:
+        RunConfig(formats=("csv", "xml"))
+    assert str(exc.value) == "unknown formats: ['xml']"
 
 
 @pytest.mark.parametrize("key", ["rq1", "rq2", "rq3", "rq4"])

@@ -4,7 +4,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solmetrics.errors import CorpusError
 from solmetrics.inheritance import build_inheritance_graph
@@ -103,9 +103,10 @@ def test_deep_chain_does_not_recurse():
 
 
 def test_deep_chain_builds_in_linear_time():
-    # NOA and NOD along a chain come from the base's and the child's counts,
-    # not from one ancestor walk per contract; the builder reads only the
-    # path and each contract's name and base names
+    # along a chain each contract's ancestor and descendant bitsets are as
+    # wide as the chain, so a build is quadratic in digit operations but with
+    # a small constant; the builder reads only the path and each contract's
+    # name and base names
     depth = 10_000
     contracts = [
         SimpleNamespace(name=f"C{i}", base_names=[f"C{i - 1}"] if i else []) for i in range(depth)
@@ -116,6 +117,21 @@ def test_deep_chain_builds_in_linear_time():
     leaf, root = ("chain.sol", f"C{depth - 1}"), ("chain.sol", "C0")
     assert (g.dit(leaf), g.noa(leaf), g.nod(leaf)) == (depth - 1, depth - 1, 0)
     assert (g.dit(root), g.noa(root), g.nod(root)) == (0, 0, depth - 1)
+
+
+def test_two_base_ladder_builds_in_near_linear_time():
+    # contract Ci is C(i-1), C(i-2): the two bases' ancestor sets overlap in
+    # all but one contract, so counting ancestors one by one is quadratic
+    n = 4_000
+    contracts = [
+        SimpleNamespace(name=f"C{i}", base_names=[f"C{j}" for j in (i - 1, i - 2) if j >= 0])
+        for i in range(n)
+    ]
+    start = time.perf_counter()
+    g = build_inheritance_graph([SimpleNamespace(path="ladder.sol", contracts=contracts)])
+    assert time.perf_counter() - start < 1.0
+    got = [(g.dit(k), g.noa(k), g.nod(k)) for k in (("ladder.sol", f"C{i}") for i in range(n))]
+    assert got == [(i, i, n - 1 - i) for i in range(n)]
 
 
 _NAMES = ("C0", "C1", "C2", "C3", "C4")
@@ -164,6 +180,7 @@ def _brute_force(graph) -> dict:
 
 @settings(max_examples=150, deadline=None)
 @given(_corpus())
+@example({"f0.sol": [("C0", []), ("C1", ["C0", "C0"]), ("C2", ["C1"])]})
 def test_tree_metrics_match_brute_force(files):
     units = [
         parse_source(
