@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import sys
 from typing import NamedTuple
 
 from .errors import CorpusError, LexError
@@ -35,14 +34,13 @@ VULNERABILITY_TYPES = frozenset({"TP", "BN", "DG", "EF", "UC", "RE", "OF", "SE"}
 
 MANIFEST_HEADER = ("file", "contract", "label", "type")
 
-# The bytes a parse pool must take off the critical path before it pays for
-# starting its workers. Measured on a 2-vCPU VM with Python 3.11.7: this
-# module's pool, forced on, in `metrics --jobs 2` against `--jobs 1`, on
-# prefixes of the perfbench small_files and imported_bases corpora (seed 1,
-# 24 alternating pairs per prefix). Per pair the pool lost a median 8 ms at
-# 81 KB off the path and 4-5 ms at 100 KB, broke even at 120 KB (+0.6 ms on
-# one corpus, -0.9 ms on the other) and won 3 ms at 140 KB.
-POOL_BREAK_EVEN_BYTES = 120_000
+# The bytes forked workers must take off the critical path to pay for
+# forking. Measured on a 2-vCPU VM, Python 3.11.7: `metrics --jobs 2`, forced
+# to fork, against `--jobs 1` on prefixes of the perfbench small_files and
+# imported_bases corpora (seed 1, 24 rotated rounds each). Per run forking
+# lost 1.9 ms at 10 KB off the path, broke even at 20 KB and won 1.7-2.1 ms at
+# 30 KB and 3.4-3.7 ms at 40 KB; twice the break-even leaves slower forks room.
+POOL_BREAK_EVEN_BYTES = 40_000
 
 
 class ManifestEntry(NamedTuple):
@@ -220,12 +218,12 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_order(root: str, files: list[str], workers: int) -> list[int] | None:
-    """The indices of ``files``, largest file first, if a pool of
-    ``workers`` can pay for its start; None if this process parses faster.
+def _plan_shares(root: str, files: list[str], workers: int) -> list[list[int]] | None:
+    """The indices of ``files`` split into one share per worker, if
+    ``workers`` processes can pay for forking; None if this one parses faster.
 
-    A pool takes at least as long as its largest file or an equal share of
-    all the bytes, so the other workers take at most the bytes above that
+    The parse takes at least as long as its largest file or an equal share
+    of all the bytes, so the other workers take at most the bytes above that
     off the critical path. Sizes come from ``os.stat``; a file that cannot
     be read counts 0 bytes, and its worker reports it.
     """
@@ -238,48 +236,65 @@ def _pool_order(root: str, files: list[str], workers: int) -> list[int] | None:
     total = sum(sizes)
     if total - max(max(sizes), total / workers) < POOL_BREAK_EVEN_BYTES:
         return None
-    # Largest first (LPT; Graham, SIAM J. Appl. Math. 1969): a large file
-    # handed out last would finish alone after every other worker is idle.
-    return sorted(range(len(files)), key=sizes.__getitem__, reverse=True)
+    # Largest first, each to the lightest share (LPT; Graham, SIAM J. Appl.
+    # Math. 1969): a large file placed last would finish alone.
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(files)), key=sizes.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return shares
 
 
-def _parse_in_pool(
-    tasks: list[tuple[str, str]], order: list[int], workers: int
-) -> list[_ParsedFile]:
-    """Parse ``tasks`` across ``workers`` processes in ``order``; results
-    come back in the order of ``tasks``."""
-    # imported here: a run that parses in this process loads no multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _fork_join(tasks: list[tuple[str, str]], shares: list[list[int]]) -> list[_ParsedFile]:
+    """Parse the first share here and each other share in a forked child
+    that pipes its results back; results come back in the order of
+    ``tasks``. A child that fails costs time: its share is parsed here."""
+    import pickle  # imported here: a run that parses in this process pickles nothing
 
-    # Forked workers start in milliseconds and share the loaded modules.
-    # Python 3.14 defaults to forkserver on Linux; forced on 3.11, it made two
-    # workers parse the flattened corpus in 0.132 s against 0.049 s forked,
-    # which would move POOL_BREAK_EVEN_BYTES.
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    # at least two chunks per worker, so a few large files spread out
-    chunksize = max(1, min(16, len(tasks) // (2 * workers)))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        results = pool.map(_parse_sol_file, [tasks[i] for i in order], chunksize=chunksize)
-        by_index = dict(zip(order, results))
-    return [by_index[i] for i in range(len(tasks))]
+    children = []
+    try:
+        for share in shares[1:]:
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into its caller's frames
+                try:
+                    with open(writer, "wb") as out:
+                        pickle.dump([_parse_sol_file(tasks[i]) for i in share], out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(writer)  # or the next child holds it, and reading waits for it
+            children.append((pid, open(reader, "rb")))
+        parsed = {i: _parse_sol_file(tasks[i]) for i in shares[0]}
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for _, pipe in children:
+            pipe.close()  # a child still writing ends, and no child outlives the join
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for share, payload, status in zip(shares[1:], payloads, statuses):
+        try:  # a failed exit or a short or unreadable payload costs time, not output
+            parsed.update(zip(share, pickle.loads(payload) if status == 0 else (), strict=True))
+        except Exception:
+            parsed.update((i, _parse_sol_file(tasks[i])) for i in share)
+    return [parsed[i] for i in range(len(tasks))]
 
 
 def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]:
     """Parse and measure many files, optionally across processes, in input order.
 
     With more than one worker allowed (``jobs``, capped by the files and by
-    :func:`available_cpus`), the file sizes decide whether a process pool
-    can beat this process (see :func:`_pool_order`). One inheritance graph
-    over all the files then sets every contract's DIT, NOA and NOD. Raises
-    :class:`CorpusError` on an inheritance cycle.
+    :func:`available_cpus`) and ``os.fork`` at hand, the file sizes decide
+    whether forked workers can beat this process (see :func:`_plan_shares`).
+    One inheritance graph over all the files then sets every contract's DIT,
+    NOA and NOD. Raises :class:`CorpusError` on an inheritance cycle.
     """
     tasks = [(root, f) for f in files]
     # no more workers than files or CPUs, whatever --jobs asks for
     workers = min(jobs, len(tasks), available_cpus())
-    order = _pool_order(root, files, workers) if workers > 1 else None
-    if order is not None:
-        parsed = _parse_in_pool(tasks, order, workers)
+    shares = _plan_shares(root, files, workers) if workers > 1 and hasattr(os, "fork") else None
+    if shares is not None:
+        parsed = _fork_join(tasks, shares)
     else:
         parsed = [_parse_sol_file(t) for t in tasks]
     graph = build_inheritance_graph(parsed)

@@ -46,7 +46,7 @@ from .nodes import (
 # Deepest nesting of statements inside one function body. Each level costs
 # at most three Python frames, so the limit sits well below the default
 # recursion limit wherever the parser is called from, and a contract parses
-# or fails the same way in-process and in a pool worker.
+# or fails the same way in-process and in a forked worker.
 MAX_NESTING = 200
 
 # A declaration without a body: McCC 1, and every count 0, NUMPAR included.
@@ -561,10 +561,13 @@ def _skip_group(cur: _Cursor, i: int, hi: int, open_text: str, close_text: str) 
 
 
 def _add_type_refs(cur: _Cursor, lo: int, hi: int, refs: set[str]) -> None:
-    """Add each identifier of a type run that does not follow a '.' to ``refs``."""
+    """Add each identifier of a type run that does not follow a '.' to ``refs``,
+    save a mapping key or value name or a function type's parameter name."""
     kinds, texts = cur.kinds, cur.texts
     for j in range(lo, hi):
-        if kinds[j] == IDENTIFIER and (j == lo or texts[j - 1] != "."):
+        if kinds[j] == IDENTIFIER and (j == lo or texts[j - 1] != "." and (
+                # a name follows a type and ends its item
+                texts[j + 1] not in ("=>", ")", ",") or texts[j - 1] in ("(", ",", "=>"))):
             refs.add(texts[j])
 
 

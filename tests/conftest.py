@@ -65,18 +65,18 @@ def make_corpus(tmp_path):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Send every parse_files run allowed more than one worker to a process
-    pool, however few bytes its files hold and however few CPUs the host
-    has (the pool is capped at 4 workers); returns the worker count of each
-    pool started, so a test can show that its files went through one."""
+    """Send every parse_files run allowed more than one worker to forked
+    workers, however few bytes its files hold and however few CPUs the host
+    has (capped at 4 workers); returns the worker count of each fork-join
+    run, so a test can show that its files went through one."""
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
     monkeypatch.setattr(corpus, "available_cpus", lambda: 4)
     started = []
-    parse_in_pool = corpus._parse_in_pool
+    fork_join = corpus._fork_join
 
-    def recording(tasks, order, workers):
-        started.append(workers)
-        return parse_in_pool(tasks, order, workers)
+    def recording(tasks, shares):
+        started.append(len(shares))
+        return fork_join(tasks, shares)
 
-    monkeypatch.setattr(corpus, "_parse_in_pool", recording)
+    monkeypatch.setattr(corpus, "_fork_join", recording)
     return started

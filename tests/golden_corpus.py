@@ -250,3 +250,32 @@ _add(
 }""",
     {"MathLib": [8, 8, 0, 1, 2, 1, 1, 2, 3, 0, 0, 0, 0, 0, 0, 2.0, 1.0, 1.0, 2.0, 3.0, 0.0]},
 )
+
+
+# Hand-counted cases kept out of GOLDEN: perfbench/corpus_gen.py builds its
+# corpora from GOLDEN, and tests/test_parse_pin.py draws its seeded mutations
+# from it, so a new entry there would change both. Same vector order.
+NAMED_TYPE_GOLDEN: dict[str, tuple[str, dict[str, list]]] = {
+    # Named mapping keys and values (Solidity 0.8.18) name no type: CBO
+    # counts Token alone, not user, bal, id, tok, who or amount.
+    "named_mapping_fields": (
+        """contract Ledger {
+    mapping(address user => uint256 bal) public balances;
+    mapping(address => mapping(uint id => Token tok)) holdings;
+    function credit(mapping(address who => uint amount) storage book, address to) internal {
+        book[to] += 1;
+    }
+}""",
+        {"Ledger": [7, 7, 0, 1, 1, 0, 0, 2, 3, 0, 0, 0, 1, 2, 0, 1.0, 0.0, 0.0, 2.0, 1.0, 0.0]},
+    ),
+    # A function type's parameter and return names name no type either:
+    # CBO counts Receipt and Registry, not amount, to, r or ok.
+    "function_type_parameters": (
+        """contract Hooks {
+    function(uint256 amount) external returns (uint) callback;
+    function(address to, Receipt memory r) internal pure returns (bool ok) check;
+    Registry registry;
+}""",
+        {"Hooks": [5, 5, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 3, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
+    ),
+}

@@ -2,9 +2,10 @@
 
 ``metrics`` and ``export`` compute no statistic, so neither they nor a bare
 ``import solmetrics`` / ``import solmetrics.cli`` may load numpy, the
-statistics layer or a process pool; ``analyze`` loads neither numpy nor
-scipy. No entry point loads ``dataclasses`` or the ``inspect`` module it
-imports: the package generates no class code at import.
+statistics layer or a process pool, not even when ``metrics`` forks
+workers; ``analyze`` loads neither numpy nor scipy. No entry point loads
+``dataclasses`` or the ``inspect`` module it imports: the package
+generates no class code at import.
 Each check runs in a fresh interpreter, since this test process has long
 since loaded all of them.
 """
@@ -110,6 +111,31 @@ def test_cold_start_loads_no_statistics_layer(entry, golden_corpus):
     assert json.loads(result.stdout.splitlines()[-1]) == []
     if entry == "export":
         assert sorted(os.listdir(tmp / "out")) == ["metrics.csv", "metrics.json"]
+
+
+def test_metrics_forking_loads_no_process_pool(tmp_path):
+    # enough bytes for forked workers to pay: two workers fork one child,
+    # and still neither multiprocessing nor concurrent.futures is loaded
+    body = "".join(f"    function f{i}(uint a) public {{ if (a > {i}) {{ a += 1; }} }}\n"
+                   for i in range(corpus.POOL_BREAK_EVEN_BYTES // 2 // 60))
+    files = []
+    for n in range(4):
+        path = tmp_path / f"c{n}.sol"
+        path.write_text(f"contract C{n} {{\n{body}}}\n", encoding="utf-8")
+        files.append(str(path))
+    sizes = [os.path.getsize(f) for f in files]
+    assert sum(sizes) - max(max(sizes), sum(sizes) / 2) >= corpus.POOL_BREAK_EVEN_BYTES
+    statement = (
+        "import os, solmetrics.corpus\n"
+        "solmetrics.corpus.available_cpus = lambda: 2\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+    )
+    statement += _cli_statement(["metrics", *files, "--jobs", "2"])
+    statement += "assert forks == [os.getpid()], forks\n"
+    result = run_python(_PROBE.format(statement=statement), *STATISTICS_MODULES)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 def test_analyze_loads_neither_numpy_nor_scipy(golden_corpus):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import metrics_for
-from golden_corpus import GOLDEN
+from golden_corpus import GOLDEN, NAMED_TYPE_GOLDEN
 from solmetrics.metrics import DISPLAY_NAMES, METRIC_NAMES
 from solmetrics.parser import parse_source
 
@@ -50,9 +50,9 @@ def test_sibling_inheritance_and_fanout():
     assert b.nod == 1
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(NAMED_TYPE_GOLDEN))
 def test_golden_corpus(name):
-    source, expected = GOLDEN[name]
+    source, expected = {**GOLDEN, **NAMED_TYPE_GOLDEN}[name]
     vectors = metrics_for(source)
     assert set(vectors) == set(expected)
     for contract_name, want in expected.items():

@@ -1,22 +1,20 @@
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import pickle
 import re
-import sys
+import signal
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import metrics_for
 from golden_corpus import GOLDEN
-from solmetrics import corpus
+from solmetrics import cli, corpus
 from solmetrics.corpus import (
     LabeledContractSet,
     _ParsedFile,
@@ -286,30 +284,18 @@ def test_parse_files_inheritance_metrics_follow_the_corpus_graph(tmp_path):
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: records the worker count and start
-    method of each pool made and the files each is given, and maps in this
-    process in the order given."""
-    record = SimpleNamespace(made=[], submitted=[])
+def recording_join(monkeypatch):
+    """Records the files of each share of every fork-join run, which then
+    runs as it would: share 0 in this process, the others forked."""
+    joins = []
+    fork_join = corpus._fork_join
 
-    class Pool:
-        def __init__(self, max_workers, mp_context=None):
-            method = mp_context.get_start_method() if mp_context is not None else None
-            record.made.append((max_workers, method))
+    def recording(tasks, shares):
+        joins.append([[tasks[i][1] for i in share] for share in shares])
+        return fork_join(tasks, shares)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            record.submitted.append([file for _, file in items])
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return record
+    monkeypatch.setattr(corpus, "_fork_join", recording)
+    return joins
 
 
 def _write_sized(root, sizes: list[int]) -> list[str]:
@@ -322,7 +308,9 @@ def _write_sized(root, sizes: list[int]) -> list[str]:
     return files
 
 
-_START_METHOD = "fork" if sys.platform == "linux" else None
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -330,28 +318,29 @@ _START_METHOD = "fork" if sys.platform == "linux" else None
     [(5000, 2, [2]), (3, 8, [3]), (8, 8, [4]), (5000, None, []), (1, 8, [])],
 )
 def test_parse_files_workers_capped_by_cpus_and_files(
-    tmp_path, monkeypatch, recording_pool, jobs, cpus, sizes
+    tmp_path, monkeypatch, recording_join, jobs, cpus, sizes
 ):
     files = _write_sized(tmp_path, [20] * 4)
     planned = []
-    pool_order = corpus._pool_order
+    plan_shares = corpus._plan_shares
 
-    def recording_order(root, files, workers):
+    def recording_plan(root, files, workers):
         planned.append(workers)
-        return pool_order(root, files, workers)
+        return plan_shares(root, files, workers)
 
     # a platform that reports only os.cpu_count(), which may be None
     monkeypatch.delattr(os, "process_cpu_count", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
-    monkeypatch.setattr(corpus, "_pool_order", recording_order)
+    monkeypatch.setattr(corpus, "_plan_shares", recording_plan)
     parsed = parse_files(str(tmp_path), files, jobs)
     # one worker plans nothing: not even the sizes are read
     assert planned == sizes
-    assert recording_pool.made == [(size, _START_METHOD) for size in sizes]
+    assert [len(shares) for shares in recording_join] == sizes
     assert [pf.path for pf in parsed] == files
     assert all(pf.error is None and len(pf.contracts) == 1 for pf in parsed)
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -365,35 +354,98 @@ def test_parse_files_workers_capped_by_cpus_and_files(
     ],
 )
 def test_parse_files_pools_from_the_break_even_up(
-    tmp_path, monkeypatch, recording_pool, sizes, workers, off
+    tmp_path, monkeypatch, recording_join, sizes, workers, off
 ):
     files = _write_sized(tmp_path, sizes)
     monkeypatch.setattr(corpus, "available_cpus", lambda: workers)
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", off + 1)
     below = parse_files(str(tmp_path), files, workers)
-    assert recording_pool.made == []
+    assert recording_join == []
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", off)
     at = parse_files(str(tmp_path), files, workers)
-    assert recording_pool.made == [(workers, _START_METHOD)]
+    assert [len(shares) for shares in recording_join] == [workers]
     assert below == at
 
 
 def test_parse_files_submits_largest_first_and_returns_input_order(
-    tmp_path, monkeypatch, recording_pool
+    tmp_path, monkeypatch, recording_join
 ):
     sizes = [50, 400, 100, 400, 200, 30]
     files = _write_sized(tmp_path, sizes) + ["missing.sol"]
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
+    monkeypatch.setattr(corpus, "available_cpus", lambda: 3)
+    for workers in (2, 3):
+        parsed = parse_files(str(tmp_path), files, workers)
+        assert [pf.path for pf in parsed] == files
+        assert [[c.name for c in pf.contracts] for pf in parsed] == [
+            [f"C{i}"] for i in range(len(sizes))
+        ] + [[]]
+        assert parsed[-1].error.startswith("unreadable file")
+    # each next-largest file goes to the lightest share, the first of equal
+    # ones; equal sizes keep their input order, and a file that cannot be
+    # read counts 0 bytes
+    assert recording_join == [
+        [["f1.sol", "f4.sol"], ["f3.sol", "f2.sol", "f0.sol", "f5.sol", "missing.sol"]],
+        [["f1.sol"], ["f3.sol"], ["f4.sol", "f2.sol", "f0.sol", "f5.sol", "missing.sol"]],
+    ]
+    _assert_no_child_left()
+
+
+def test_parse_files_without_fork_parses_in_process(tmp_path, monkeypatch, recording_join):
+    # a platform without os.fork (Windows) parses every file in this process
+    files = _write_sized(tmp_path, [100, 100, 100])
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
     monkeypatch.setattr(corpus, "available_cpus", lambda: 2)
-    parsed = parse_files(str(tmp_path), files, 2)
-    # equal sizes keep their input order; a file that cannot be read counts 0 bytes
-    assert recording_pool.submitted == [["f1.sol", "f3.sol", "f4.sol", "f2.sol", "f0.sol",
-                                         "f5.sol", "missing.sol"]]
-    assert [pf.path for pf in parsed] == files
-    assert [[c.name for c in pf.contracts] for pf in parsed] == [
-        [f"C{i}"] for i in range(len(sizes))
-    ] + [[]]
-    assert parsed[-1].error.startswith("unreadable file")
+    forked = parse_files(str(tmp_path), files, 2)
+    assert len(recording_join) == 1
+    monkeypatch.delattr(os, "fork")
+    assert parse_files(str(tmp_path), files, 2) == forked
+    assert len(recording_join) == 1
+
+
+def _failing_child(how: str, parent: int):
+    """The module and name to patch so that a forked child fails on f2.sol:
+    ``_parse_sol_file`` exits, is killed or is interrupted there, or
+    ``pickle.dump`` sends a short or an unreadable payload."""
+    real = corpus._parse_sol_file
+
+    def parse(args):
+        if args[1].endswith("f2.sol") and os.getpid() != parent:
+            if how == "exit":
+                os._exit(1)
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise KeyboardInterrupt  # not an Exception: _parse_sol_file lets it out
+        return real(args)
+
+    def dump(obj, fh):
+        payload = pickle.dumps(obj)
+        fh.write(payload[: len(payload) // 2] if how == "short" else b"not a pickle")
+
+    return (pickle, "dump", dump) if how in ("short", "garbage") else (corpus, "_parse_sol_file", parse)
+
+
+@pytest.mark.parametrize("how", ["exit", "signal", "interrupt", "short", "garbage"])
+def test_failed_child_changes_no_output(tmp_path, monkeypatch, capsys, recording_join, how):
+    files = _write_sized(tmp_path, [100, 300, 200])
+    paths = [str(tmp_path / f) for f in files]
+    monkeypatch.setattr(corpus, "available_cpus", lambda: 2)
+    serial = cli.main(["metrics", *paths, "--jobs", "1"]), capsys.readouterr()
+    monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
+    parent = os.getpid()
+    monkeypatch.setattr(*_failing_child(how, parent))
+    try:
+        parallel = cli.main(["metrics", *paths, "--jobs", "2"]), capsys.readouterr()
+    finally:
+        if os.getpid() != parent:  # a child came back into its caller's frames
+            (tmp_path / "escaped").touch()
+            os._exit(0)
+    assert not (tmp_path / "escaped").exists()
+    # f1.sol, the largest, is parsed here; the child's share fails, and this
+    # process parses it again
+    assert recording_join == [[[paths[1]], [paths[2], paths[0]]]]
+    assert parallel == serial
+    _assert_no_child_left()
 
 
 def test_available_cpus_honours_affinity(monkeypatch):
