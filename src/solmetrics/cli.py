@@ -20,6 +20,7 @@ from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
 from .inheritance import build_inheritance_graph  # noqa: F401
 from .metrics import METRIC_NAMES, contract_metrics  # noqa: F401
+from .nodes import Diagnostic
 
 if TYPE_CHECKING:
     from .pipeline import run_analysis, run_record, run_section
@@ -66,16 +67,12 @@ def _formats(value: str) -> tuple[str, ...]:
     return parts
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--manifest", required=True, help="corpus manifest CSV")
-    sub.add_argument("--root", required=True, help="source root for manifest paths")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--ci-level", type=float, default=0.95)
-    sub.add_argument("--redundancy-threshold", type=float, default=0.9)
-    sub.add_argument("--significance", type=float, default=0.05)
-    sub.add_argument("--format", type=_formats, default=FORMATS)
-    sub.add_argument("--jobs", type=int, default=available_cpus())
+# The commands that read a labeled corpus, in the order --help lists them.
+_RUN_COMMANDS = {
+    "analyze": "run all four analyses over a labeled corpus",
+    **{key: f"run only the {key} analysis" for key in ANALYSES},
+    "export": "ingest a corpus and export the metric table",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,15 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("paths", nargs="+", help=".sol files to analyze")
     p_metrics.add_argument("--jobs", type=int, default=available_cpus())
 
-    p_analyze = subs.add_parser("analyze", help="run all four analyses over a labeled corpus")
-    _add_run_flags(p_analyze)
-
-    for key in ANALYSES:
-        p_single = subs.add_parser(key, help=f"run only the {key} analysis")
-        _add_run_flags(p_single)
-
-    p_export = subs.add_parser("export", help="ingest a corpus and export the metric table")
-    _add_run_flags(p_export)
+    for command, help_text in _RUN_COMMANDS.items():
+        # Each dest is a RunConfig field, and a flag left out sets nothing, so
+        # RunConfig's default holds; only --jobs defaults to all usable CPUs.
+        sub = subs.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        sub.add_argument("--manifest", required=True, help="corpus manifest CSV")
+        sub.add_argument("--root", dest="source_root", metavar="ROOT", required=True,
+                         help="source root for manifest paths")
+        sub.add_argument("--out", dest="output_dir", metavar="OUT", required=True,
+                         help="output directory")
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--ci-level", type=float)
+        sub.add_argument("--redundancy-threshold", type=float)
+        sub.add_argument("--significance", type=float)
+        sub.add_argument("--format", dest="formats", metavar="FORMAT", type=_formats)
+        sub.add_argument("--jobs", type=int, default=available_cpus())
 
     return parser
 
@@ -114,7 +117,7 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
         files.setdefault(os.path.normpath(path), path)
     for pf in parse_files("", list(files.values()), jobs):
         if pf.error is not None:
-            diagnostics.append(f"{pf.path}:1: {pf.error}")
+            diagnostics.append(str(Diagnostic(pf.path, 1, pf.error)))
         diagnostics.extend(pf.diagnostics)
         rows.extend((pf.path, facts.name, facts.metrics) for facts in pf.contracts)
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -131,17 +134,7 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        source_root=args.root,
-        manifest=args.manifest,
-        output_dir=args.out,
-        seed=args.seed,
-        ci_level=args.ci_level,
-        redundancy_threshold=args.redundancy_threshold,
-        significance=args.significance,
-        formats=args.format,
-        jobs=args.jobs,
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
 
 
 def _ingest_for(config: RunConfig):

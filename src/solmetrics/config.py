@@ -2,7 +2,8 @@
 
 This module imports nothing of the statistics layer, so a command that
 computes no statistic (``export``) validates its settings with the same
-messages as ``analyze`` without importing that layer.
+messages as ``analyze`` without importing that layer. The ``DEFAULT_*``
+values are the settings' only defaults; the analyses and statistics read them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from .errors import InputError
 
 ANALYSES = ("rq1", "rq2", "rq3", "rq4")
 FORMATS = ("csv", "json", "md")
+
+DEFAULT_SEED = 42  # rq3's size-matched neutral subsample
+DEFAULT_CI_LEVEL = 0.95
+DEFAULT_REDUNDANCY_THRESHOLD = 0.9  # rq1 reports pairs with |rho| above it
+DEFAULT_SIGNIFICANCE = 0.05
 
 
 def check_jobs(jobs: int) -> None:
@@ -28,9 +34,11 @@ class RunConfig:
     )
 
     def __init__(
-        self, source_root: str = "", manifest: str = "", output_dir: str = "", seed: int = 42,
-        ci_level: float = 0.95, redundancy_threshold: float = 0.9, significance: float = 0.05,
-        formats: tuple[str, ...] = FORMATS, jobs: int = 1,
+        self, source_root: str = "", manifest: str = "", output_dir: str = "",
+        seed: int = DEFAULT_SEED, ci_level: float = DEFAULT_CI_LEVEL,
+        redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD,
+        significance: float = DEFAULT_SIGNIFICANCE, formats: tuple[str, ...] = FORMATS,
+        jobs: int = 1,
     ) -> None:
         if not 0.0 < ci_level < 1.0:
             raise InputError("ci_level must lie strictly between 0 and 1")

@@ -69,17 +69,18 @@ class ContractRow(NamedTuple):
 
 
 class LabeledContractSet(Record):
-    """The labeled rows of a corpus. ``provenance`` (the manifest or table
-    path and its sha256) and ``diagnostics`` take no part in equality."""
+    """The labeled rows of a corpus and their counts by label, counted here.
+    ``provenance`` (the manifest or table path and its sha256) and
+    ``diagnostics`` take no part in equality."""
 
     _fields = ("rows", "n_vulnerable", "n_neutral")
     __slots__ = _fields + ("provenance", "diagnostics")
 
-    def __init__(self, rows: list[ContractRow], n_vulnerable: int, n_neutral: int,
-                 provenance: tuple[str, str] = ("", ""), diagnostics: list[str] | None = None):
+    def __init__(self, rows: list[ContractRow], provenance: tuple[str, str] = ("", ""),
+                 diagnostics: list[str] | None = None):
         self.rows = rows
-        self.n_vulnerable = n_vulnerable
-        self.n_neutral = n_neutral
+        self.n_vulnerable = sum(1 for r in rows if r.label == LABEL_VULNERABLE)
+        self.n_neutral = len(rows) - self.n_vulnerable
         self.provenance = provenance
         self.diagnostics = [] if diagnostics is None else diagnostics
 
@@ -353,14 +354,7 @@ def ingest(
             f"corpus unusable: {error_skips} of {len(manifest.entries)} entries skipped"
         )
     rows.sort(key=lambda r: (r.file, r.contract))
-    n_vulnerable = sum(1 for r in rows if r.label == LABEL_VULNERABLE)
-    return LabeledContractSet(
-        rows=rows,
-        n_vulnerable=n_vulnerable,
-        n_neutral=len(rows) - n_vulnerable,
-        provenance=(manifest.path, manifest.content_hash),
-        diagnostics=diagnostics,
-    )
+    return LabeledContractSet(rows, (manifest.path, manifest.content_hash), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +362,16 @@ def ingest(
 
 EXPORT_HEADER = ("file", "contract") + METRIC_NAMES + ("label", "type")
 
-# Each metric's value type, as METRIC_FIELDS declares it.
+# Each metric's value type, as METRIC_TABLE declares it.
 _METRIC_TYPES = dict(METRIC_FIELDS)
+
+
+def write_json(path: str, payload: object) -> None:
+    """Write ``payload`` as every JSON file of the package is written: two-space
+    indent, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv") -> str:
@@ -408,9 +410,7 @@ def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv"
                 for row in rows
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
     else:
         raise CorpusError(f"unknown export format {fmt!r}")
     return path
@@ -499,10 +499,4 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
                     item.get("type"),
                 )
             )
-    n_vulnerable = sum(1 for r in rows if r.label == LABEL_VULNERABLE)
-    return LabeledContractSet(
-        rows=rows,
-        n_vulnerable=n_vulnerable,
-        n_neutral=len(rows) - n_vulnerable,
-        provenance=(path, digest),
-    )
+    return LabeledContractSet(rows, (path, digest))

@@ -13,39 +13,20 @@ from typing import NamedTuple
 from .inheritance import InheritanceGraph
 from .nodes import ContractDef, FunctionMetrics, LineCounts
 
-DISPLAY_NAMES: dict[str, str] = {
-    "sloc": "SLOC",
-    "lloc": "LLOC",
-    "cloc": "CLOC",
-    "nf": "NF",
-    "wmc": "WMC",
-    "nl": "NL",
-    "nle": "NLE",
-    "numpar": "NUMPAR",
-    "nos": "NOS",
-    "dit": "DIT",
-    "noa": "NOA",
-    "nod": "NOD",
-    "cbo": "CBO",
-    "na": "NA",
-    "noi": "NOI",
-    "avg_mccc": "Avg. McCC",
-    "avg_nl": "Avg. NL",
-    "avg_nle": "Avg. NLE",
-    "avg_numpar": "Avg. NUMPAR",
-    "avg_nos": "Avg. NOS",
-    "avg_noi": "Avg. NOI",
-}
-
-
-# Each metric's name and value type, in the column order of every metric table.
-METRIC_FIELDS: tuple[tuple[str, type], ...] = (
-    ("sloc", int), ("lloc", int), ("cloc", int), ("nf", int), ("wmc", int), ("nl", int),
-    ("nle", int), ("numpar", int), ("nos", int), ("dit", int), ("noa", int), ("nod", int),
-    ("cbo", int), ("na", int), ("noi", int), ("avg_mccc", float), ("avg_nl", float),
-    ("avg_nle", float), ("avg_numpar", float), ("avg_nos", float), ("avg_noi", float),
+# Each metric's name, value type and display name, in the column order of
+# every metric table. The names and types below are read from this table.
+METRIC_TABLE: tuple[tuple[str, type, str], ...] = (
+    ("sloc", int, "SLOC"), ("lloc", int, "LLOC"), ("cloc", int, "CLOC"), ("nf", int, "NF"),
+    ("wmc", int, "WMC"), ("nl", int, "NL"), ("nle", int, "NLE"), ("numpar", int, "NUMPAR"),
+    ("nos", int, "NOS"), ("dit", int, "DIT"), ("noa", int, "NOA"), ("nod", int, "NOD"),
+    ("cbo", int, "CBO"), ("na", int, "NA"), ("noi", int, "NOI"),
+    ("avg_mccc", float, "Avg. McCC"), ("avg_nl", float, "Avg. NL"),
+    ("avg_nle", float, "Avg. NLE"), ("avg_numpar", float, "Avg. NUMPAR"),
+    ("avg_nos", float, "Avg. NOS"), ("avg_noi", float, "Avg. NOI"),
 )
-METRIC_NAMES: tuple[str, ...] = tuple(name for name, _ in METRIC_FIELDS)
+METRIC_FIELDS: tuple[tuple[str, type], ...] = tuple((name, kind) for name, kind, _ in METRIC_TABLE)
+METRIC_NAMES: tuple[str, ...] = tuple(name for name, _, _ in METRIC_TABLE)
+DISPLAY_NAMES: dict[str, str] = {name: display for name, _, display in METRIC_TABLE}
 
 
 class ContractMetrics(NamedTuple("ContractMetrics", METRIC_FIELDS)):

@@ -653,6 +653,15 @@ def _parse_type_decl(cur: _Cursor) -> str:
 # contracts and source units
 
 
+def _skip_layout(cur: _Cursor) -> None:
+    """Consume a storage layout specifier (Solidity 0.8.29), `layout at` and
+    its slot expression, up to the `is` or `{` that follows. The expression
+    names no type, so it adds nothing to CBO."""
+    if cur.check("layout") and cur.check("at", 1):
+        while cur.i < cur.n and cur.texts[cur.i] not in ("is", "{"):
+            cur.i += 1
+
+
 def _parse_contract(cur: _Cursor) -> ContractDef:
     first_line = cur.line()
     cur.match("abstract")
@@ -665,6 +674,7 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
     name = cur.texts[cur.advance()]
     base_names: list[str] = []
     type_refs = cur.type_refs = set()
+    _skip_layout(cur)
     if cur.match("is"):
         while cur.kinds[cur.i] == IDENTIFIER:
             type_refs.add(cur.texts[cur.i])
@@ -673,6 +683,7 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
                 _collect_balanced(cur, "(", ")")
             if not cur.match(","):
                 break
+        _skip_layout(cur)
     if not cur.check("{"):
         raise ParseError(f"expected '{{' in {kind} '{name}' header", cur.line())
     opener = cur.advance()

@@ -18,8 +18,9 @@ import random
 from itertools import compress
 from typing import NamedTuple
 
-from .config import ANALYSES, RunConfig
-from .corpus import LABEL_VULNERABLE, LabeledContractSet
+from .config import ANALYSES, DEFAULT_CI_LEVEL, DEFAULT_SIGNIFICANCE, RunConfig
+from .config import DEFAULT_REDUNDANCY_THRESHOLD
+from .corpus import LABEL_NEUTRAL, LABEL_VULNERABLE, LabeledContractSet
 from .errors import DegenerateInputError, InputError
 from .metrics import METRIC_NAMES
 from .stats import (
@@ -35,8 +36,8 @@ from .stats import (
     welch_t_test,
 )
 
-GROUP_VULNERABLE = "vulnerable"
-GROUP_NEUTRAL = "neutral"
+GROUP_VULNERABLE = LABEL_VULNERABLE
+GROUP_NEUTRAL = LABEL_NEUTRAL
 
 HIGHER_IN_VULNERABLE = "higher-in-vulnerable"
 HIGHER_IN_NEUTRAL = "higher-in-neutral"
@@ -145,8 +146,8 @@ def metric_columns(data: LabeledContractSet | MetricColumns) -> MetricColumns:
 
 def rq1_redundancy(
     contract_set: LabeledContractSet | MetricColumns,
-    threshold: float = 0.9,
-    alpha: float = 0.05,
+    threshold: float = DEFAULT_REDUNDANCY_THRESHOLD,
+    alpha: float = DEFAULT_SIGNIFICANCE,
 ) -> Rq1Section:
     """Per-group correlation matrices and the |rho| > threshold pair list."""
     columns = metric_columns(contract_set)
@@ -176,7 +177,7 @@ def rq1_redundancy(
 
 
 def rq2_metric_vs_vulnerability(
-    contract_set: LabeledContractSet | MetricColumns, alpha: float = 0.05
+    contract_set: LabeledContractSet | MetricColumns, alpha: float = DEFAULT_SIGNIFICANCE
 ) -> Rq2Section:
     """Spearman between each metric column and the 0/1 label column."""
     columns = metric_columns(contract_set)
@@ -193,7 +194,8 @@ def rq2_metric_vs_vulnerability(
 
 
 def rq3_discriminative(
-    contract_set: LabeledContractSet | MetricColumns, seed: int, alpha: float = 0.05
+    contract_set: LabeledContractSet | MetricColumns, seed: int,
+    alpha: float = DEFAULT_SIGNIFICANCE,
 ) -> Rq3Section:
     """Paired t-tests against one seeded size-matched neutral subsample.
 
@@ -227,7 +229,7 @@ def rq3_discriminative(
 
 
 def rq4_interval_comparison(
-    contract_set: LabeledContractSet | MetricColumns, level: float = 0.95
+    contract_set: LabeledContractSet | MetricColumns, level: float = DEFAULT_CI_LEVEL
 ) -> Rq4Section:
     """Group mean confidence intervals with a separation direction flag."""
     columns = metric_columns(contract_set)

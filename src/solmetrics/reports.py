@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 from typing import Any
 
+from .corpus import write_json
 from .metrics import DISPLAY_NAMES
 from .pipeline import ANALYSES, AnalysisReport, Rq1Section, Rq2Section, Rq3Section, Rq4Section
 from .stats import CorrelationMatrix
@@ -53,12 +53,6 @@ def rq1_dict(section: Rq1Section) -> dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # table writers
-
-
-def _write_json(path: str, payload: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -203,7 +197,7 @@ def write_section(
     to_dict, to_table = _SECTION_IO[key]
     written: list[str] = []
     if "json" in formats:
-        _write_json(os.path.join(outdir, f"{key}.json"), to_dict(section))
+        write_json(os.path.join(outdir, f"{key}.json"), to_dict(section))
         written.append(f"{key}.json")
     if "csv" in formats:
         header, rows = to_table(section, display=False)
@@ -236,7 +230,7 @@ def write_report(report: AnalysisReport, outdir: str, formats: tuple[str, ...]) 
     """
     os.makedirs(outdir, exist_ok=True)
     written: list[str] = []
-    _write_json(os.path.join(outdir, "report.json"), report_to_dict(report))
+    write_json(os.path.join(outdir, "report.json"), report_to_dict(report))
     written.append("report.json")
     for key in ANALYSES:
         written.extend(write_section(key, getattr(report, key), outdir, formats))
@@ -250,7 +244,7 @@ def write_run_manifest(
     outputs: dict[str, str],
 ) -> str:
     path = os.path.join(outdir, "run_manifest.json")
-    _write_json(
+    write_json(
         path,
         {"config": config, "tool_version": tool_version, "outputs": outputs},
     )

@@ -24,9 +24,9 @@ from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple
 
+from .config import DEFAULT_CI_LEVEL
+from .config import DEFAULT_SIGNIFICANCE as SIGNIFICANCE_DEFAULT
 from .errors import DegenerateInputError, InputError
-
-SIGNIFICANCE_DEFAULT = 0.05
 
 STRENGTH_WEAK = "weak"
 STRENGTH_MEDIUM = "medium"
@@ -487,7 +487,7 @@ def welch_t_test(x, y) -> TTestResult:
     return TTestResult(t, df, _two_sided_p(t, df), mean_diff, "welch")
 
 
-def mean_confidence_interval(values, level: float = 0.95) -> ConfidenceInterval:
+def mean_confidence_interval(values, level: float = DEFAULT_CI_LEVEL) -> ConfidenceInterval:
     """Student-t confidence interval for the mean."""
     if not 0.0 < level < 1.0:
         raise InputError("level must lie strictly between 0 and 1")

@@ -279,3 +279,32 @@ NAMED_TYPE_GOLDEN: dict[str, tuple[str, dict[str, list]]] = {
         {"Hooks": [5, 5, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2, 3, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]},
     ),
 }
+
+
+# Solidity 0.8.x syntax, kept out of GOLDEN for the same reason.
+SOLIDITY_08_GOLDEN: dict[str, tuple[str, dict[str, list]]] = {
+    # A storage layout specifier (0.8.29) before or after the base list: its
+    # slot expression names no type, so Vault's CBO counts Base and Token and
+    # Store's counts Base alone.
+    "storage_layout_specifier": (
+        """contract Base {
+    uint a;
+}
+contract Vault is Base layout at 0x1234 {
+    Token token;
+    function put(uint amount) public {
+        if (amount > 0) {
+            token.transfer(amount);
+        }
+    }
+}
+contract Store layout at 2**64 + 7 is Base {
+    uint b;
+}""",
+        {
+            "Base": [3, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "Vault": [8, 8, 0, 1, 2, 1, 1, 1, 3, 1, 1, 0, 2, 1, 1, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0],
+            "Store": [3, 3, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        },
+    ),
+}

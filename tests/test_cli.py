@@ -308,6 +308,20 @@ def test_analyze_writes_reports(corpus_dir, capsys):
     assert set(manifest_data["outputs"]) == names - {"run_manifest.json"}
 
 
+def test_bare_analyze_records_the_run_config_defaults(corpus_dir, capsys):
+    manifest, root, out = corpus_dir
+    code, _, err = run_cli(capsys, "analyze", "--manifest", manifest, "--root", root, "--out", out)
+    assert code == 0, err
+    defaults = RunConfig()
+    settings = ("seed", "ci_level", "redundancy_threshold", "significance")
+    config = json.loads(Path(out, "run_manifest.json").read_text())["config"]
+    assert {k: config[k] for k in settings} == {k: getattr(defaults, k) for k in settings}
+    report = json.loads(Path(out, "report.json").read_text())
+    assert report["rq1"]["threshold"] == defaults.redundancy_threshold
+    assert report["rq3"]["seed"] == defaults.seed
+    assert report["rq4"]["level"] == defaults.ci_level
+
+
 def test_analyze_deterministic(corpus_dir, tmp_path, capsys):
     manifest, root, _ = corpus_dir
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

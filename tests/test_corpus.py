@@ -539,7 +539,7 @@ def test_export_csv_shape(make_corpus, tmp_path):
 
 
 def test_export_empty_set_rejected(tmp_path):
-    empty = LabeledContractSet(rows=[], n_vulnerable=0, n_neutral=0)
+    empty = LabeledContractSet([])
     with pytest.raises(CorpusError):
         export_metrics(empty, str(tmp_path / "x.csv"), "csv")
 

@@ -313,6 +313,19 @@ def test_abstract_contract_header():
     assert c.functions[0].metrics == BODYLESS
 
 
+@pytest.mark.parametrize("header", [
+    "contract C layout at 0x1234",
+    "contract C is B(1) layout at 0x40 + 2**8",
+    "contract C layout at uint256(keccak256(\"C\")) - 1 is B(1)",
+])
+def test_storage_layout_specifier_is_skipped(header):
+    unit = parse_source(header + " { uint x; }")
+    assert unit.diagnostics == []
+    c = unit.contracts[0]
+    assert (c.name, c.state_vars) == ("C", ["x"])
+    assert c.type_refs == set(c.base_names)
+
+
 def test_units_compare_and_print_without_their_line_index():
     source = GOLDEN["inheritance_chain_depth_3"][0] + "\n// tail comment\n"
     unit = parse_source(source, "a.sol")

@@ -46,7 +46,7 @@ def make_set(vuln: list[dict], neut: list[dict]) -> LabeledContractSet:
         rows.append(ContractRow(f"v{i}.sol", "C", _metrics_from_values(values), "vulnerable"))
     for i, values in enumerate(neut):
         rows.append(ContractRow(f"n{i}.sol", "C", _metrics_from_values(values), "neutral"))
-    return LabeledContractSet(rows=rows, n_vulnerable=len(vuln), n_neutral=len(neut))
+    return LabeledContractSet(rows)
 
 
 def random_set(seed: int, n_vuln: int = 15, n_neut: int = 40, shift: float = 4.0):
@@ -72,11 +72,7 @@ def swap_labels(contract_set: LabeledContractSet) -> LabeledContractSet:
         )
         for r in contract_set.rows
     ]
-    return LabeledContractSet(
-        rows=flipped,
-        n_vulnerable=contract_set.n_neutral,
-        n_neutral=contract_set.n_vulnerable,
-    )
+    return LabeledContractSet(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +203,7 @@ def test_rq2_invariant_under_monotone_column_transform():
                 r.vuln_type,
             )
             for r in s.rows
-        ],
-        n_vulnerable=s.n_vulnerable,
-        n_neutral=s.n_neutral,
+        ]
     )
     transformed = rq2_metric_vs_vulnerability(cubed)
     base_row = next(r for r in base.rows if r.metric == "avg_nos")
