@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import ANALYSES, FORMATS, RunConfig, check_jobs
-from .corpus import available_cpus, export_metrics, ingest, load_manifest, parse_files
+from .corpus import TABLE_FORMATS, available_cpus, export_metrics, ingest, load_manifest
+from .corpus import parse_files
 from .errors import CorpusError, InputError
 # Not called here since ingest owns them, but perfbench/trace_child.py wraps them on this module.
 from .inheritance import build_inheritance_graph  # noqa: F401
@@ -24,14 +25,14 @@ from .nodes import Diagnostic
 
 if TYPE_CHECKING:
     from .pipeline import run_analysis, run_record, run_section
-    from .reports import hash_outputs, write_report, write_run_manifest, write_section
+    from .reports import write_report, write_run_manifest, write_section
 
 # The analysis commands' functions. Importing the pipeline, statistics and
 # report modules costs more than `metrics` and `export` need, so these are
 # bound as module globals only when an analysis command runs or a caller
 # reads one.
 _PIPELINE_NAMES = ("run_analysis", "run_record", "run_section")
-_REPORT_NAMES = ("hash_outputs", "write_report", "write_run_manifest", "write_section")
+_REPORT_NAMES = ("write_report", "write_run_manifest", "write_section")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -193,15 +194,14 @@ def cmd_single(key: str, config: RunConfig) -> int:
     _load_analysis()
     section = run_section(key, contract_set, config)
     with _writing_to(config.output_dir):
-        written = write_section(key, section, config.output_dir, config.formats)
-        outputs = hash_outputs(config.output_dir, written)
+        outputs = write_section(key, section, config.output_dir, config.formats)
         write_run_manifest(config.output_dir, run_record(contract_set, config), __version__, outputs)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 
 def cmd_export(config: RunConfig) -> int:
     contract_set = _ingest_for(config)
-    formats = [f for f in config.formats if f in ("csv", "json")] or ["csv"]
+    formats = [f for f in config.formats if f in TABLE_FORMATS] or ["csv"]
     with _writing_to(config.output_dir):
         for fmt in formats:
             export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)

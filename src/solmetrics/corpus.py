@@ -362,16 +362,29 @@ def ingest(
 
 EXPORT_HEADER = ("file", "contract") + METRIC_NAMES + ("label", "type")
 
+# The formats a metric table is exported to and imported from.
+TABLE_FORMATS = ("csv", "json")
+
 # Each metric's value type, as METRIC_TABLE declares it.
 _METRIC_TYPES = dict(METRIC_FIELDS)
 
 
+class _JsonLayout(json.JSONEncoder):
+    """The layout of every JSON file the package writes: two-space indent,
+    sorted keys and a trailing newline."""
+
+    def iterencode(self, o: object, _one_shot: bool = False):
+        yield from super().iterencode(o, _one_shot)
+        yield "\n"
+
+
+JSON_ENCODER = _JsonLayout(indent=2, sort_keys=True)
+
+
 def write_json(path: str, payload: object) -> None:
-    """Write ``payload`` as every JSON file of the package is written: two-space
-    indent, sorted keys and a trailing newline."""
+    """Stream ``payload`` to ``path`` in the package's JSON layout."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(JSON_ENCODER.iterencode(payload))
 
 
 def export_metrics(contract_set: LabeledContractSet, path: str, fmt: str = "csv") -> str:
@@ -440,7 +453,7 @@ def import_metrics(path: str, fmt: str = "csv") -> LabeledContractSet:
     metric a JSON integer. A JSON document that nests too deeply or has no
     ``rows`` list raises one naming the file.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in TABLE_FORMATS:
         raise CorpusError(f"unknown import format {fmt!r}")
     text, digest = _read_text(path, "metric table")
     rows: list[ContractRow] = []

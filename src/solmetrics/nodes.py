@@ -1,8 +1,10 @@
 """Syntax tree for the supported Solidity subset.
 
-The tree keeps only what the metric definitions consume: declarations,
-parameter names, and for each function the :class:`FunctionMetrics` the
-parser counted over its body; no statement is kept. A contract's ``span``
+The tree keeps declarations, parameter names, and for each function the
+:class:`FunctionMetrics` the parser counted over its body; no statement is
+kept. The metrics read counts of the declarations; the names of events,
+structs, enums and parameters, a contract's kind, the pragma and the
+imports serve library callers and tests. A contract's ``span``
 (inclusive 1-based lines) is the only line range kept; line accounting and
 dedupe read it, together with the file's
 :class:`~solmetrics.lexer.TokenStream` that a unit keeps as ``lines``.

@@ -36,9 +36,6 @@ from .stats import (
     welch_t_test,
 )
 
-GROUP_VULNERABLE = LABEL_VULNERABLE
-GROUP_NEUTRAL = LABEL_NEUTRAL
-
 HIGHER_IN_VULNERABLE = "higher-in-vulnerable"
 HIGHER_IN_NEUTRAL = "higher-in-neutral"
 OVERLAPPING = "overlapping"
@@ -161,8 +158,8 @@ def rq1_redundancy(
         for j in range(i + 1, k):
             findings = []
             for group, matrix in (
-                (GROUP_VULNERABLE, vuln_matrix),
-                (GROUP_NEUTRAL, neut_matrix),
+                (LABEL_VULNERABLE, vuln_matrix),
+                (LABEL_NEUTRAL, neut_matrix),
             ):
                 cell = matrix.entries[i][j]
                 if cell is not None and abs(cell.rho) > threshold:

@@ -2,17 +2,20 @@
 
 Every float is rendered with at least six significant digits; JSON files
 carry full-precision values. Output is deterministic byte-for-byte for a
-fixed report.
+fixed report. Each file is built as one text and written once by
+:func:`_write`, which returns the sha256 of the bytes it wrote; the run
+manifest records those digests.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-from .corpus import write_json
+from .corpus import JSON_ENCODER
 from .metrics import DISPLAY_NAMES
 from .pipeline import ANALYSES, AnalysisReport, Rq1Section, Rq2Section, Rq3Section, Rq4Section
 from .stats import CorrelationMatrix
@@ -52,50 +55,36 @@ def rq1_dict(section: Rq1Section) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# table writers
+# tables: rows carry metric ids; only Markdown shows their display names
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_md(path: str, title: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {title}\n\n")
-        fh.write("| " + " | ".join(header) + " |\n")
-        fh.write("|" + "|".join("---" for _ in header) + "|\n")
-        for row in rows:
-            fh.write("| " + " | ".join(row) + " |\n")
-
-
-def _rq1_table(section: Rq1Section, display: bool) -> tuple[list[str], list[list[str]]]:
+def _rq1_table(section: Rq1Section) -> tuple[list[str], list[list[str]]]:
     header = ["metric_a", "metric_b", "group", "rho", "p_value", "reliable"]
     rows = []
     for pair in section.redundant_pairs:
         for f in pair.findings:
-            a = DISPLAY_NAMES[pair.metric_a] if display else pair.metric_a
-            b = DISPLAY_NAMES[pair.metric_b] if display else pair.metric_b
-            rows.append([a, b, f.group, _fmt(f.rho), _fmt(f.p_value), str(f.reliable).lower()])
+            rows.append(
+                [pair.metric_a, pair.metric_b, f.group, _fmt(f.rho), _fmt(f.p_value),
+                 str(f.reliable).lower()]
+            )
     return header, rows
 
 
-def _rq2_table(section: Rq2Section, display: bool) -> tuple[list[str], list[list[str]]]:
+def _rq2_table(section: Rq2Section) -> tuple[list[str], list[list[str]]]:
     header = ["metric", "correlation_coefficient", "p_value", "strength", "significant"]
     rows = []
     for row in section.rows:
-        name = DISPLAY_NAMES[row.metric] if display else row.metric
         if row.result is None:
-            rows.append([name, "undefined", "", "", ""])
+            rows.append([row.metric, "undefined", "", "", ""])
         else:
             r = row.result
-            rows.append([name, _fmt(r.rho), _fmt(r.p_value), r.strength, str(r.significant).lower()])
+            rows.append(
+                [row.metric, _fmt(r.rho), _fmt(r.p_value), r.strength, str(r.significant).lower()]
+            )
     return header, rows
 
 
-def _rq3_table(section: Rq3Section, display: bool) -> tuple[list[str], list[list[str]]]:
+def _rq3_table(section: Rq3Section) -> tuple[list[str], list[list[str]]]:
     header = [
         "metric",
         "discriminative",
@@ -106,12 +95,11 @@ def _rq3_table(section: Rq3Section, display: bool) -> tuple[list[str], list[list
     ]
     rows = []
     for row in section.rows:
-        name = DISPLAY_NAMES[row.metric] if display else row.metric
         paired = row.paired
         welch = row.welch
         rows.append(
             [
-                name,
+                row.metric,
                 "yes" if row.discriminative else "no",
                 _fmt(paired.p_value) if paired else "degenerate",
                 _fmt(paired.t_statistic) if paired else "",
@@ -122,7 +110,7 @@ def _rq3_table(section: Rq3Section, display: bool) -> tuple[list[str], list[list
     return header, rows
 
 
-def _rq4_table(section: Rq4Section, display: bool) -> tuple[list[str], list[list[str]]]:
+def _rq4_table(section: Rq4Section) -> tuple[list[str], list[list[str]]]:
     header = [
         "metric",
         "vulnerable_mean",
@@ -135,10 +123,9 @@ def _rq4_table(section: Rq4Section, display: bool) -> tuple[list[str], list[list
     ]
     rows = []
     for row in section.rows:
-        name = DISPLAY_NAMES[row.metric] if display else row.metric
         rows.append(
             [
-                name,
+                row.metric,
                 _fmt(row.vulnerable.mean),
                 _fmt(row.vulnerable.lower),
                 _fmt(row.vulnerable.upper),
@@ -151,29 +138,57 @@ def _rq4_table(section: Rq4Section, display: bool) -> tuple[list[str], list[list
     return header, rows
 
 
-def _write_matrix_csv(path: str, matrix: CorrelationMatrix) -> None:
+def _matrix_table(matrix: CorrelationMatrix) -> tuple[list[str], list[list[str]]]:
     header = ["metric"] + list(matrix.metric_ids)
     rows = []
     for name, row in zip(matrix.metric_ids, matrix.entries):
         rows.append([name] + [_fmt(c.rho) if c is not None else "" for c in row])
-    _write_csv(path, header, rows)
+    return header, rows
 
 
-_TITLES = {
-    "rq1": "Cross-metric redundancy (|rho| above threshold)",
-    "rq2": "Correlation between each metric and vulnerability",
-    "rq3": "Paired t-test discrimination between groups",
-    "rq4": "Group mean confidence intervals",
-}
+class _Analysis(NamedTuple):
+    """How one analysis section is reported: its Markdown title, its JSON
+    form, its table and the number of leading cells of a row that name
+    metrics."""
+
+    title: str
+    to_json: Callable[[Any], Any]
+    table: Callable[[Any], tuple[list[str], list[list[str]]]]
+    metric_cells: int
 
 
 # rq2-rq4 serialize field by field; rq1's matrices have their own shape
-_SECTION_IO = {
-    "rq1": (rq1_dict, _rq1_table),
-    "rq2": (_plain, _rq2_table),
-    "rq3": (_plain, _rq3_table),
-    "rq4": (_plain, _rq4_table),
+_ANALYSIS_OUTPUT = {
+    "rq1": _Analysis("Cross-metric redundancy (|rho| above threshold)", rq1_dict, _rq1_table, 2),
+    "rq2": _Analysis("Correlation between each metric and vulnerability", _plain, _rq2_table, 1),
+    "rq3": _Analysis("Paired t-test discrimination between groups", _plain, _rq3_table, 1),
+    "rq4": _Analysis("Group mean confidence intervals", _plain, _rq4_table, 1),
 }
+
+
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _md_text(analysis: _Analysis, header: list[str], rows: list[list[str]]) -> str:
+    n = analysis.metric_cells
+    cells = [header] + [[DISPLAY_NAMES[c] for c in row[:n]] + row[n:] for row in rows]
+    lines = ["| " + " | ".join(row) + " |" for row in cells]
+    lines.insert(1, "|" + "---|" * len(header))
+    return f"# {analysis.title}\n\n" + "\n".join(lines) + "\n"
+
+
+def _write(outdir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``outdir/name`` as UTF-8 bytes, so its newlines are
+    the same on every platform; returns the sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    with open(os.path.join(outdir, name), "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
@@ -182,7 +197,7 @@ def report_to_dict(report: AnalysisReport) -> dict[str, Any]:
         "counts": {"vulnerable": report.counts[0], "neutral": report.counts[1]},
     }
     for key in ANALYSES:
-        payload[key] = _SECTION_IO[key][0](getattr(report, key))
+        payload[key] = _ANALYSIS_OUTPUT[key].to_json(getattr(report, key))
     return payload
 
 
@@ -191,50 +206,36 @@ def write_section(
     section: Rq1Section | Rq2Section | Rq3Section | Rq4Section,
     outdir: str,
     formats: tuple[str, ...],
-) -> list[str]:
+) -> dict[str, str]:
     """Write one analysis section's table files into the existing ``outdir``;
-    returns written file names."""
-    to_dict, to_table = _SECTION_IO[key]
-    written: list[str] = []
+    returns the sha256 of each file written, keyed by its name."""
+    analysis = _ANALYSIS_OUTPUT[key]
+    header, rows = analysis.table(section)
+    texts = {}
     if "json" in formats:
-        write_json(os.path.join(outdir, f"{key}.json"), to_dict(section))
-        written.append(f"{key}.json")
+        texts[f"{key}.json"] = JSON_ENCODER.encode(analysis.to_json(section))
     if "csv" in formats:
-        header, rows = to_table(section, display=False)
-        _write_csv(os.path.join(outdir, f"{key}.csv"), header, rows)
-        written.append(f"{key}.csv")
+        texts[f"{key}.csv"] = _csv_text(header, rows)
     if "md" in formats:
-        header, rows = to_table(section, display=True)
-        _write_md(os.path.join(outdir, f"{key}.md"), _TITLES[key], header, rows)
-        written.append(f"{key}.md")
+        texts[f"{key}.md"] = _md_text(analysis, header, rows)
     if key == "rq1" and "csv" in formats:
         # heatmap data for the two correlation matrices
-        _write_matrix_csv(os.path.join(outdir, "rq1_rho_vulnerable.csv"), section.vulnerable)
-        _write_matrix_csv(os.path.join(outdir, "rq1_rho_neutral.csv"), section.neutral)
-        written.extend(["rq1_rho_vulnerable.csv", "rq1_rho_neutral.csv"])
-    return written
-
-
-def hash_outputs(outdir: str, names: list[str]) -> dict[str, str]:
-    hashes = {}
-    for name in names:
-        with open(os.path.join(outdir, name), "rb") as fh:
-            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
+        texts["rq1_rho_vulnerable.csv"] = _csv_text(*_matrix_table(section.vulnerable))
+        texts["rq1_rho_neutral.csv"] = _csv_text(*_matrix_table(section.neutral))
+    return {name: _write(outdir, name, text) for name, text in texts.items()}
 
 
 def write_report(report: AnalysisReport, outdir: str, formats: tuple[str, ...]) -> dict[str, str]:
     """Write report.json plus one table per analysis per requested format.
 
-    Returns a mapping of written file names to their sha256 content hash.
+    Returns the sha256 of each file written, keyed by its name.
     """
     os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-    write_json(os.path.join(outdir, "report.json"), report_to_dict(report))
-    written.append("report.json")
+    text = JSON_ENCODER.encode(report_to_dict(report))
+    outputs = {"report.json": _write(outdir, "report.json", text)}
     for key in ANALYSES:
-        written.extend(write_section(key, getattr(report, key), outdir, formats))
-    return hash_outputs(outdir, written)
+        outputs.update(write_section(key, getattr(report, key), outdir, formats))
+    return outputs
 
 
 def write_run_manifest(
@@ -243,9 +244,6 @@ def write_run_manifest(
     tool_version: str,
     outputs: dict[str, str],
 ) -> str:
-    path = os.path.join(outdir, "run_manifest.json")
-    write_json(
-        path,
-        {"config": config, "tool_version": tool_version, "outputs": outputs},
-    )
-    return path
+    """Write run_manifest.json; returns the sha256 of its bytes."""
+    manifest = {"config": config, "tool_version": tool_version, "outputs": outputs}
+    return _write(outdir, "run_manifest.json", JSON_ENCODER.encode(manifest))

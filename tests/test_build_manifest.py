@@ -62,3 +62,21 @@ def test_written_manifest_loads_and_ingests(built):
     ]
     assert contract_set.counts == (2, 2)
     assert contract_set.diagnostics == []
+
+
+@pytest.mark.parametrize("header", ["file,contract,label,type\n", ""], ids=["header", "no-header"])
+def test_labels_csv_with_byte_order_mark(tmp_path, capsys, header):
+    # spreadsheet tools save CSV with a UTF-8 byte-order mark
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\ncontract B {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(("\ufeff" + header + "a.sol,A,vulnerable,RE\n").encode("utf-8"))
+    out = tmp_path / "manifest.csv"
+    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "a.sol,A,vulnerable,RE",
+        "a.sol,B,neutral,",
+    ]

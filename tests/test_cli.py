@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -306,6 +307,28 @@ def test_analyze_writes_reports(corpus_dir, capsys):
     manifest_data = json.loads(Path(out, "run_manifest.json").read_text())
     assert manifest_data["config"]["seed"] == 42
     assert set(manifest_data["outputs"]) == names - {"run_manifest.json"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "rq1", "rq2", "rq3", "rq4"])
+def test_recorded_digests_are_the_sha256_of_the_files(corpus_dir, capsys, monkeypatch, command):
+    manifest, root, out = corpus_dir
+    write_report = cli.write_report
+    returned = []
+
+    def recording(*args):
+        returned.append(write_report(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "write_report", recording)
+    code, _, err = run_cli(
+        capsys, command, "--manifest", manifest, "--root", root, "--out", out, "--jobs", "1"
+    )
+    assert code == 0, err
+    outputs = json.loads(Path(out, "run_manifest.json").read_text())["outputs"]
+    assert set(outputs) == set(os.listdir(out)) - {"run_manifest.json"}
+    for name, digest in outputs.items():
+        assert digest == hashlib.sha256(Path(out, name).read_bytes()).hexdigest(), name
+    assert returned == ([outputs] if command == "analyze" else [])
 
 
 def test_bare_analyze_records_the_run_config_defaults(corpus_dir, capsys):

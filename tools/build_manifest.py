@@ -43,7 +43,8 @@ LABELS = (LABEL_VULNERABLE, LABEL_NEUTRAL)
 def load_labels(path: str) -> tuple[dict, dict]:
     per_contract: dict[tuple[str, str], tuple[str, str]] = {}
     per_file: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet tools save CSV with
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
