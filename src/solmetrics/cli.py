@@ -1,4 +1,5 @@
-"""Command-line surface: metric extraction, full analysis, single runners.
+"""Command-line surface: metric extraction, and the commands that read a
+labeled corpus (all four analyses, one analysis, or the metric table).
 
 Exit codes: 0 clean, 1 nothing usable / global failure, 2 finished with
 diagnostics (partial skips).
@@ -111,12 +112,7 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
     check_jobs(jobs)
     diagnostics: list[str] = []
     rows = []
-    # A file named twice (b.sol, ./b.sol) would measure its contracts twice and
-    # make their names ambiguous; it is measured once, under its first spelling.
-    files: dict[str, str] = {}
-    for path in paths:
-        files.setdefault(os.path.normpath(path), path)
-    for pf in parse_files("", list(files.values()), jobs):
+    for pf in parse_files("", paths, jobs):
         if pf.error is not None:
             diagnostics.append(str(Diagnostic(pf.path, 1, pf.error)))
         diagnostics.extend(pf.diagnostics)
@@ -132,18 +128,6 @@ def cmd_metrics(paths: list[str], jobs: int) -> int:
     for file, name, metrics in rows:
         writer.writerow([file, name] + metrics.as_cells())
     return EXIT_DIAGNOSTICS if diagnostics else EXIT_OK
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
-
-
-def _ingest_for(config: RunConfig):
-    manifest = load_manifest(config.manifest)
-    contract_set = ingest(manifest, config.source_root, config.jobs)
-    for message in contract_set.diagnostics:
-        print(message, file=sys.stderr)
-    return contract_set
 
 
 @contextmanager
@@ -179,54 +163,42 @@ def _output_dir(outdir: str):
         raise
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    contract_set = _ingest_for(config)
-    _load_analysis()
-    report = run_analysis(contract_set, config)
+def cmd_run(command: str, config: RunConfig) -> int:
+    """Ingest the manifest's corpus, then write what ``command`` makes of it
+    under ``--out``: every analysis (``analyze``), one of :data:`ANALYSES`,
+    or the metric table (``export``, which imports no analysis)."""
+    contract_set = ingest(load_manifest(config.manifest), config.source_root, config.jobs)
+    for message in contract_set.diagnostics:
+        print(message, file=sys.stderr)
     with _writing_to(config.output_dir):
-        outputs = write_report(report, config.output_dir, config.formats)
-        write_run_manifest(config.output_dir, report.config, __version__, outputs)
-    return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
-
-
-def cmd_single(key: str, config: RunConfig) -> int:
-    contract_set = _ingest_for(config)
-    _load_analysis()
-    section = run_section(key, contract_set, config)
-    with _writing_to(config.output_dir):
-        outputs = write_section(key, section, config.output_dir, config.formats)
-        write_run_manifest(config.output_dir, run_record(contract_set, config), __version__, outputs)
-    return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
-
-
-def cmd_export(config: RunConfig) -> int:
-    contract_set = _ingest_for(config)
-    formats = [f for f in config.formats if f in TABLE_FORMATS] or ["csv"]
-    with _writing_to(config.output_dir):
-        for fmt in formats:
-            export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)
+        if command == "export":
+            for fmt in [f for f in config.formats if f in TABLE_FORMATS] or ["csv"]:
+                export_metrics(contract_set, os.path.join(config.output_dir, f"metrics.{fmt}"), fmt)
+        else:
+            _load_analysis()
+            if command == "analyze":
+                report = run_analysis(contract_set, config)
+                outputs = write_report(report, config.output_dir, config.formats)
+                record = report.config
+            else:
+                section = run_section(command, contract_set, config)
+                outputs = write_section(command, section, config.output_dir, config.formats)
+                record = run_record(contract_set, config)
+            write_run_manifest(config.output_dir, record, __version__, outputs)
     return EXIT_DIAGNOSTICS if contract_set.diagnostics else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "metrics":
             return cmd_metrics(args.paths, args.jobs)
-        config = _config_from_args(args)
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
         with _output_dir(config.output_dir):
-            if args.command == "analyze":
-                return cmd_analyze(config)
-            if args.command in ANALYSES:
-                return cmd_single(args.command, config)
-            if args.command == "export":
-                return cmd_export(config)
+            return cmd_run(args.command, config)
     except (CorpusError, InputError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_ERROR
 
 
 def entry_point() -> None:

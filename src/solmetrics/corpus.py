@@ -282,7 +282,13 @@ def _fork_join(tasks: list[tuple[str, str]], shares: list[list[int]]) -> list[_P
 
 
 def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]:
-    """Parse and measure many files, optionally across processes, in input order.
+    """Parse and measure each distinct file of ``files``, optionally across processes.
+
+    Spellings with one ``os.path.normpath`` (``a.sol``, ``./a.sol``,
+    ``sub/../a.sol``) name one file; the rule is lexical and follows no
+    link. Each file is read once, under its first spelling, and the results
+    come in the order the files are first named: one per distinct
+    normalized path, so ``len(result)`` can be less than ``len(files)``.
 
     With more than one worker allowed (``jobs``, capped by the files and by
     :func:`available_cpus`) and ``os.fork`` at hand, the file sizes decide
@@ -290,6 +296,10 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
     One inheritance graph over all the files then sets every contract's DIT,
     NOA and NOD. Raises :class:`CorpusError` on an inheritance cycle.
     """
+    firsts: dict[str, str] = {}
+    for file in files:
+        firsts.setdefault(os.path.normpath(file), file)
+    files = list(firsts.values())
     tasks = [(root, f) for f in files]
     # no more workers than files or CPUs, whatever --jobs asks for
     workers = min(jobs, len(tasks), available_cpus())
@@ -315,26 +325,29 @@ def ingest(
 ) -> LabeledContractSet:
     """Join the metric facts of every manifest entry's file with its label.
 
-    Each entry either becomes a row or a skip diagnostic; duplicate
-    contract bodies keep their first occurrence. Raises
-    :class:`CorpusError` when more than half of the entries skip for
-    reasons other than deduplication, or on an inheritance cycle.
+    Entries are matched to files as :func:`parse_files` tells files apart,
+    and each row and diagnostic keeps the spelling its entry wrote. Each
+    entry either becomes a row or a skip diagnostic; duplicate contract
+    bodies keep their first occurrence. Raises :class:`CorpusError` when
+    more than half of the entries skip for reasons other than
+    deduplication, or on an inheritance cycle.
     """
-    files = list(dict.fromkeys(entry.file for entry in manifest.entries))
-    parsed = {pf.path: pf for pf in parse_files(source_root, files, jobs)}
+    files = [entry.file for entry in manifest.entries]
+    parsed = {os.path.normpath(pf.path): pf for pf in parse_files(source_root, files, jobs)}
     diagnostics = [d for pf in parsed.values() for d in pf.diagnostics]
-    facts_by_key = {(pf.path, c.name): c for pf in parsed.values() for c in pf.contracts}
+    facts_by_key = {(path, c.name): c for path, pf in parsed.items() for c in pf.contracts}
 
     rows: list[ContractRow] = []
     seen_hashes: dict[str, str] = {}
     error_skips = 0
     for entry in manifest.entries:
-        pf = parsed[entry.file]
+        path = os.path.normpath(entry.file)
+        pf = parsed[path]
         if pf.error is not None:
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped ({pf.error})")
             error_skips += 1
             continue
-        facts = facts_by_key.get((entry.file, entry.contract))
+        facts = facts_by_key.get((path, entry.contract))
         if facts is None:
             diagnostics.append(f"{entry.file}:{entry.contract}: skipped (contract not found)")
             error_skips += 1

@@ -80,3 +80,51 @@ def test_labels_csv_with_byte_order_mark(tmp_path, capsys, header):
         "a.sol,A,vulnerable,RE",
         "a.sol,B,neutral,",
     ]
+
+
+def test_label_row_paths_are_normalized(tmp_path, capsys):
+    root = tmp_path / "src"
+    (root / "sub").mkdir(parents=True)
+    (root / "a.sol").write_text("contract A {}\ncontract B {}\n")
+    (root / "sub" / "c.sol").write_text("contract C {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("./a.sol,A,vulnerable,RE\nsub/../sub/./c.sol,vulnerable,TP\n")
+    out = tmp_path / "manifest.csv"
+    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "a.sol,A,vulnerable,RE",
+        "a.sol,B,neutral,",
+        os.path.join("sub", "c.sol") + ",C,vulnerable,TP",
+    ]
+
+
+def test_label_rows_that_label_no_contract_are_reported(tmp_path, capsys):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    (root / "b.sol").write_text("contract B {}\ncontract B2 {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(
+        "file,contract,label,type\n"
+        "a.sol,Z,vulnerable,RE\n"  # no such contract
+        "a.sol,A,vulnerable,OF\n"
+        "gone.sol,vulnerable\n"  # no such file
+        "b.sol,neutral\n"  # every contract of b.sol has its own row
+        "b.sol,B,vulnerable,TP\n"
+        "b.sol,B2,vulnerable,TP\n"
+    )
+    out = tmp_path / "manifest.csv"
+    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipped {labels}:2: label row for a.sol:Z labels no contract",
+        f"skipped {labels}:4: label row for gone.sol labels no contract",
+        f"skipped {labels}:5: label row for b.sol labels no contract",
+    ]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "a.sol,A,vulnerable,OF",
+        "b.sol,B,vulnerable,TP",
+        "b.sol,B2,vulnerable,TP",
+    ]

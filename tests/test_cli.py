@@ -400,28 +400,38 @@ def test_analyze_significance_plumbing(corpus_dir, tmp_path, capsys):
     assert not any(r["discriminative"] for r in report["rq3"]["rows"])
 
 
-def test_analyze_exit_2_with_partial_skips(corpus_dir, capsys):
+# The file each command that reads a manifest writes in any case.
+RUN_OUTPUT = {
+    "analyze": "report.json", "rq1": "rq1.json", "rq2": "rq2.json", "rq3": "rq3.json",
+    "rq4": "rq4.json", "export": "metrics.csv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_OUTPUT))
+def test_exit_2_with_partial_skips(corpus_dir, capsys, command):
     manifest, root, out = corpus_dir
     with open(manifest, "a", encoding="utf-8") as fh:
         fh.write("missing.sol,X,neutral,\n")
     code, _, err = run_cli(
-        capsys, "analyze", "--manifest", manifest, "--root", root, "--out", out, "--jobs", "1"
+        capsys, command, "--manifest", manifest, "--root", root, "--out", out, "--jobs", "1"
     )
     assert code == 2
     assert "missing.sol" in err
-    assert os.path.exists(os.path.join(out, "report.json"))
+    assert os.path.exists(os.path.join(out, RUN_OUTPUT[command]))
 
 
-def test_analyze_bad_manifest_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", sorted(RUN_OUTPUT))
+def test_bad_manifest_exit_1(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"
     bad.write_text("file,contract,label,type\nx.sol,A,maybe,\n", encoding="utf-8")
     code, _, err = run_cli(
         capsys,
-        "analyze", "--manifest", str(bad), "--root", str(tmp_path), "--out", str(tmp_path / "o"),
+        command, "--manifest", str(bad), "--root", str(tmp_path), "--out", str(tmp_path / "o"),
         "--jobs", "1",
     )
     assert code == 1
     assert "maybe" in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

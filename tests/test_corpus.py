@@ -246,6 +246,32 @@ def test_cross_file_inheritance_resolved_in_ingest(make_corpus):
     assert by_name["Base"].nod == 1
 
 
+def test_ingest_reads_each_file_once_under_any_manifest_spelling(make_corpus, monkeypatch):
+    files = {
+        "a.sol": "contract A { uint x; }\ncontract A2 is A {}",
+        "b.sol": "contract C is A { function f() public { x = 1; } }",
+    }
+    plain = [("a.sol", "A", "vulnerable", "RE"), ("a.sol", "A2", "neutral", None),
+             ("b.sol", "C", "neutral", None)]
+    respelled = [("a.sol", "A", "vulnerable", "RE"), ("./a.sol", "A2", "neutral", None),
+                 ("sub/../b.sol", "C", "neutral", None)]
+    manifest, root = make_corpus(files, plain)
+    expected = {r.contract: r.metrics for r in ingest(load_manifest(manifest), root).rows}
+    os.mkdir(os.path.join(root, "sub"))
+    manifest, root = make_corpus(files, respelled)
+    read = []
+    parse = corpus._parse_sol_file
+    monkeypatch.setattr(corpus, "_parse_sol_file", lambda task: read.append(task[1]) or parse(task))
+    s = ingest(load_manifest(manifest), root)
+    assert read == ["a.sol", "sub/../b.sol"]  # each file once, under its first spelling
+    assert [r.contract_id for r in s.rows] == ["./a.sol:A2", "a.sol:A", "sub/../b.sol:C"]
+    assert {r.contract: r.metrics for r in s.rows} == expected
+    assert expected["A"].nod == 2
+    assert s.diagnostics == []
+    [pf] = parse_files(root, ["./b.sol", "b.sol", "sub/../b.sol"])
+    assert pf.path == "./b.sol"
+
+
 def test_parse_result_carries_no_parse_tree(tmp_path):
     (tmp_path / "a.sol").write_text(SIMPLE + "\n" + OTHER, encoding="utf-8")
     result = _parse_sol_file((str(tmp_path), "a.sol"))

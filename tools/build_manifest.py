@@ -11,6 +11,12 @@ Labels CSV rows are either per-contract or per-file:
     file,contract,label[,type]     one contract in that file
     file,label[,type]              every contract in that file
 
+A label row's file is a path under the source root, and spellings with
+one ``os.path.normpath`` (``a.sol``, ``./a.sol``) name one file. A label
+row that labels no contract is reported on stderr as
+``skipped LABELS:LINE: ...``: no such file or contract, a file that does
+not parse, or a per-file row whose contracts all have rows of their own.
+
 Example:
 
     python3 tools/build_manifest.py dataset/contracts \\
@@ -40,9 +46,10 @@ from solmetrics.parser import parse_file
 LABELS = (LABEL_VULNERABLE, LABEL_NEUTRAL)
 
 
-def load_labels(path: str) -> tuple[dict, dict]:
-    per_contract: dict[tuple[str, str], tuple[str, str]] = {}
-    per_file: dict[str, tuple[str, str]] = {}
+def load_labels(path: str) -> dict[tuple[str, str | None], tuple[str, str, int]]:
+    """Each label row as ``(label, type, line)``, keyed by its normalized
+    file path and its contract name, or None for a per-file row."""
+    labels: dict[tuple[str, str | None], tuple[str, str, int]] = {}
     # utf-8-sig drops the byte-order mark spreadsheet tools save CSV with
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -53,16 +60,14 @@ def load_labels(path: str) -> tuple[dict, dict]:
             if lineno == 1 and parts[0] == "file":
                 continue  # header
             if len(parts) >= 3 and parts[2] in LABELS:
-                file, contract, label = parts[0], parts[1], parts[2]
                 vuln_type = parts[3] if len(parts) > 3 else ""
-                per_contract[(file, contract)] = (label, vuln_type)
+                labels[(os.path.normpath(parts[0]), parts[1])] = (parts[2], vuln_type, lineno)
             elif len(parts) >= 2 and parts[1] in LABELS:
-                file, label = parts[0], parts[1]
                 vuln_type = parts[2] if len(parts) > 2 else ""
-                per_file[file] = (label, vuln_type)
+                labels[(os.path.normpath(parts[0]), None)] = (parts[1], vuln_type, lineno)
             else:
                 sys.exit(f"{path}:{lineno}: cannot interpret label row: {line!r}")
-    return per_contract, per_file
+    return labels
 
 
 def _manifest_can_hold(path: str) -> bool:
@@ -78,12 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--default-label", default=LABEL_NEUTRAL, choices=LABELS)
     args = parser.parse_args(argv)
 
-    per_contract, per_file = ({}, {})
-    if args.labels:
-        per_contract, per_file = load_labels(args.labels)
+    labels = load_labels(args.labels) if args.labels else {}
 
     rows: list[str] = []
     skipped: list[str] = []
+    labeled: set[tuple[str, str | None]] = set()  # the keys of labels that label a contract
     counts = {LABEL_VULNERABLE: 0, LABEL_NEUTRAL: 0}
     for dirpath, dirnames, filenames in os.walk(args.root):
         dirnames.sort()
@@ -103,10 +107,9 @@ def main(argv: list[str] | None = None) -> int:
                 skipped.append(f"{rel}: {exc}")
                 continue
             for contract in unit.contracts:
-                label, vuln_type = per_contract.get(
-                    (rel, contract.name),
-                    per_file.get(rel, (args.default_label, "")),
-                )
+                key = (rel, contract.name) if (rel, contract.name) in labels else (rel, None)
+                labeled.add(key)
+                label, vuln_type, _ = labels.get(key, (args.default_label, "", 0))
                 if label == LABEL_NEUTRAL:
                     vuln_type = ""
                 if vuln_type and vuln_type not in VULNERABILITY_TYPES:
@@ -114,6 +117,10 @@ def main(argv: list[str] | None = None) -> int:
                     vuln_type = ""
                 rows.append(f"{rel},{contract.name},{label},{vuln_type}")
                 counts[label] += 1
+    for (file, contract), (_, _, line) in sorted(labels.items(), key=lambda item: item[1][2]):
+        if (file, contract) not in labeled:
+            target = file if contract is None else f"{file}:{contract}"
+            skipped.append(f"{args.labels}:{line}: label row for {target} labels no contract")
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(MANIFEST_HEADER) + "\n")
