@@ -120,7 +120,9 @@ def load_manifest(path: str) -> CorpusManifest:
     """Load and validate a corpus manifest.
 
     Rejects unknown labels, misplaced or unknown vulnerability type tags,
-    and duplicate (file, contract) keys, naming the offending row.
+    and duplicate (file, contract) keys, naming the offending row. A file
+    is known by its ``os.path.normpath``, as :func:`parse_files` knows it,
+    so ``a.sol`` and ``./a.sol`` name one file.
     """
     text, content_hash = _read_text(path, "manifest")
     entries: list[ManifestEntry] = []
@@ -144,7 +146,7 @@ def load_manifest(path: str) -> CorpusManifest:
         if not file or not contract:
             raise CorpusError(f"manifest row {lineno}: empty file or contract name")
         _check_label(f"manifest row {lineno}", label, vuln_type)
-        key = (file, contract)
+        key = (os.path.normpath(file), contract)
         if key in seen:
             raise CorpusError(f"manifest row {lineno}: duplicate entry for {file}:{contract}")
         seen.add(key)

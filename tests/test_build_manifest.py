@@ -128,3 +128,69 @@ def test_label_rows_that_label_no_contract_are_reported(tmp_path, capsys):
         "b.sol,B,vulnerable,TP",
         "b.sol,B2,vulnerable,TP",
     ]
+
+
+@pytest.mark.parametrize("spelling", ["a.sol", "./a.sol"])
+def test_repeated_label_row_exits_1(tmp_path, capsys, spelling):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"a.sol,A,vulnerable,RE\n{spelling},A,neutral\n")
+    out = tmp_path / "manifest.csv"
+    with pytest.raises(SystemExit) as exc:
+        build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)])
+    assert exc.value.code == f"{labels}:2: repeats the label row on line 1"
+    assert not out.exists()
+
+
+def test_inheritance_cycle_exits_1_before_writing(tmp_path):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A is B {}\n")
+    (root / "b.sol").write_text("contract B is A {}\ncontract C {}\n")
+    out = tmp_path / "manifest.csv"
+    with pytest.raises(SystemExit) as exc:
+        build_manifest.main([str(root), "--out", str(out)])
+    assert exc.value.code == "inheritance cycle: a.sol:A -> b.sol:B -> a.sol:A"
+    assert not out.exists()
+
+
+def test_files_are_read_as_the_corpus_commands_read_them(tmp_path, capsys):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\ncontract { uint x; }\ncontract B {}\n")
+    (root / "lex.sol").write_text('contract L { string s = "open; }\n')
+    (root / "latin1.sol").write_bytes("contract Café {}\n".encode("latin-1"))
+    out = tmp_path / "manifest.csv"
+    assert build_manifest.main([str(root), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 2 entries to {out} (0 vulnerable, 2 neutral)\n"
+    assert captured.err.splitlines() == [
+        "skipped a.sol:2: missing name in contract header",
+        "skipped latin1.sol: not valid UTF-8",
+        "skipped lex.sol: lex error: line 1: unterminated string literal",
+    ]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "a.sol,A,neutral,",
+        "a.sol,B,neutral,",
+    ]
+
+
+def test_files_go_to_forked_workers_where_they_pay(tmp_path, monkeypatch, capsys, pooled):
+    monkeypatch.setattr(build_manifest, "available_cpus", lambda: 4)
+    root = tmp_path / "src"
+    root.mkdir()
+    for i in range(4):
+        (root / f"c{i}.sol").write_text(f"contract C{i} {{}}\n")
+    out = tmp_path / "manifest.csv"
+    assert build_manifest.main([str(root), "--out", str(out)]) == 0
+    assert pooled == [4]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "c0.sol,C0,neutral,",
+        "c1.sol,C1,neutral,",
+        "c2.sol,C2,neutral,",
+        "c3.sol,C3,neutral,",
+    ]

@@ -123,6 +123,27 @@ def test_metrics_internal_error_skips_the_file(tmp_path, capsys, monkeypatch, po
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_utf8_file_is_skipped_with_exit_2(tmp_path, capsys, monkeypatch, pooled, jobs):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "bad.sol").write_bytes('contract Z { string s = "é"; }'.encode("latin-1"))
+    (src / "ok.sol").write_text(GOOD, encoding="utf-8")
+    (tmp_path / "manifest.csv").write_text(
+        "file,contract,label,type\nbad.sol,Z,neutral,\nok.sol,A,neutral,\n", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "metrics", "src/bad.sol", "src/ok.sol", "--jobs", jobs)
+    assert (code, err) == (2, "src/bad.sol:1: not valid UTF-8\n")
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["A"]
+    code, _, err = run_cli(
+        capsys, "export", "--manifest", "manifest.csv", "--root", "src", "--out", "out",
+        "--jobs", jobs,
+    )
+    assert (code, err) == (2, "bad.sol:Z: skipped (not valid UTF-8)\n")
+    assert pooled == ([2, 2] if jobs == "2" else [])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_metrics_deep_nesting_is_a_diagnostic(tmp_path, capsys, pooled, jobs):
     body = "if (x) {" * 600 + "x = 1;" + "}" * 600
     deep = tmp_path / "deep.sol"
@@ -431,6 +452,22 @@ def test_bad_manifest_exit_1(tmp_path, capsys, command):
     )
     assert code == 1
     assert "maybe" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_entry_repeated_under_another_spelling_exit_1(tmp_path, capsys):
+    (tmp_path / "a.sol").write_text("contract A {}\ncontract B {}\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "file,contract,label,type\na.sol,A,vulnerable,RE\na.sol,B,neutral,\n./a.sol,A,neutral,\n",
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(
+        capsys,
+        "export", "--manifest", str(manifest), "--root", str(tmp_path), "--out",
+        str(tmp_path / "o"), "--jobs", "1",
+    )
+    assert (code, err) == (1, "manifest row 4: duplicate entry for ./a.sol:A\n")
     assert not os.path.exists(tmp_path / "o")
 
 

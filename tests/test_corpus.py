@@ -49,11 +49,14 @@ def write_manifest(tmp_path, rows, name="manifest.csv", header="file,contract,la
 def test_empty_manifest(tmp_path):
     m = load_manifest(write_manifest(tmp_path, []))
     assert m.entries == ()
+    zero_bytes = tmp_path / "zero.csv"
+    zero_bytes.write_bytes(b"")
+    assert load_manifest(str(zero_bytes)).entries == ()
 
 
 def test_manifest_row_with_type(tmp_path):
-    m = load_manifest(write_manifest(tmp_path, ["a.sol,Token,vulnerable,RE"]))
-    entry = m.entries[0]
+    m = load_manifest(write_manifest(tmp_path, ["", "a.sol,Token,vulnerable,RE", "  "]))
+    (entry,) = m.entries  # blank rows are skipped
     assert (entry.file, entry.contract, entry.label, entry.vuln_type) == (
         "a.sol",
         "Token",
@@ -72,6 +75,22 @@ def test_manifest_unknown_label_names_row(tmp_path):
         load_manifest(write_manifest(tmp_path, ["a.sol,Token,maybe,"]))
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("a.sol,Token", "expected 3 or 4 fields, got 2"),
+        ("a.sol,Token,vulnerable,RE,x", "expected 3 or 4 fields, got 5"),
+        (",Token,neutral,", "empty file or contract name"),
+        ("a.sol, ,neutral,", "empty file or contract name"),
+    ],
+    ids=["short", "long", "no-file", "no-contract"],
+)
+def test_manifest_malformed_row_names_row(tmp_path, row, message):
+    with pytest.raises(CorpusError) as exc:
+        load_manifest(write_manifest(tmp_path, ["a.sol,Token,neutral,", row]))
+    assert str(exc.value) == f"manifest row 3: {message}"
+
+
 def test_manifest_unknown_type_rejected(tmp_path):
     with pytest.raises(CorpusError, match="row 3"):
         load_manifest(
@@ -84,11 +103,14 @@ def test_manifest_type_on_neutral_rejected(tmp_path):
         load_manifest(write_manifest(tmp_path, ["a.sol,Token,neutral,RE"]))
 
 
-def test_manifest_duplicate_key_rejected(tmp_path):
-    with pytest.raises(CorpusError, match="duplicate"):
+@pytest.mark.parametrize("spelling", ["a.sol", "./a.sol", "sub/../a.sol"])
+def test_manifest_duplicate_key_rejected(tmp_path, spelling):
+    # one file under any spelling, and the message names the row's own
+    with pytest.raises(CorpusError) as exc:
         load_manifest(
-            write_manifest(tmp_path, ["a.sol,Token,neutral,", "a.sol,Token,vulnerable,RE"])
+            write_manifest(tmp_path, ["a.sol,Token,neutral,", f"{spelling},Token,vulnerable,RE"])
         )
+    assert str(exc.value) == f"manifest row 3: duplicate entry for {spelling}:Token"
 
 
 def test_manifest_bad_header(tmp_path):

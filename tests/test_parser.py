@@ -86,8 +86,9 @@ def test_nesting_limit_per_shape(shape):
         ("abstract", "unexpected end of file"),
         ("struct S {\n  uint a;", "unbalanced '{'"),
         ("function g() pure {\n  return;", "unbalanced '{'"),
+        ("contract B { function (", "unbalanced '('"),
     ],
-    ids=["bare-abstract", "unterminated-struct", "unterminated-function"],
+    ids=["bare-abstract", "unterminated-struct", "unterminated-function", "member-function-at-eof"],
 )
 def test_malformed_file_level_item_is_a_diagnostic(tail, message):
     unit = parse_source("contract A { uint x; }\n" + tail, "bad.sol")
@@ -182,12 +183,13 @@ def test_contract_level_declarations():
         struct S { uint x; }
         enum E { One, Two }
         using Lib for uint;
+        uint public override fee;
     }"""
     unit = parse_source(src)
     c = unit.contracts[0]
-    assert c.state_vars == ["a", "balances", "token"]
+    assert c.state_vars == ["a", "balances", "token", "fee"]
     assert c.events == ["Done"] and c.structs == ["S"] and c.enums == ["E"]
-    assert c.declaration_count == 6
+    assert c.declaration_count == 7
 
 
 # A statement of each kind, and the (mccc, nl, nle, nos) of a function holding it
@@ -204,6 +206,14 @@ _STATEMENT_KINDS = [
     ("assembly { let y := 1 }", (1, 0, 0, 1)),
     ("return;", (1, 0, 0, 1)),
     ("{ x = 1; y = 2; }", (1, 0, 0, 2)),
+    # recovery shapes, pinned as they score today
+    ("assembly;", (1, 0, 0, 1)),
+    ("for x;", (1, 0, 0, 1)),
+    ("unchecked x = 1;", (1, 0, 0, 1)),
+    ("pragma solidity ^0.8.0;", (1, 0, 0, 1)),
+    # the ';' a bodiless try or catch leaves behind counts as a statement of its own
+    ("try foo(); y = 1;", (1, 0, 0, 3)),
+    ("try g() {} catch; y = 1;", (1, 0, 0, 3)),
 ]
 
 
@@ -285,6 +295,10 @@ contract A { uint y; }
 """
     unit = parse_source(src)
     assert [c.name for c in unit.contracts] == ["A"]
+    assert not unit.diagnostics
+    # a function header that runs into a contract ends there
+    unit = parse_source("function broken(uint x)\ncontract B { uint z; }\n")
+    assert [(c.name, c.state_vars) for c in unit.contracts] == [("B", ["z"])]
     assert not unit.diagnostics
 
 

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Build a corpus manifest from a tree of .sol files.
 
-Walks a source root, parses every file to enumerate its contracts, and
-writes the `file,contract,label,type` manifest the analyzer consumes.
-Labels come from an optional labels CSV; anything unlabeled gets
---default-label.
+Walks a source root, reads every file through ``solmetrics.corpus.parse_files``
+to enumerate its contracts, and writes the `file,contract,label,type`
+manifest the analyzer consumes. Labels come from an optional labels CSV;
+anything unlabeled gets --default-label.
+
+Files are read as the corpus commands read them, with the same skips and
+the same forked workers where they pay. A skipped file and each parse
+diagnostic are reported on stderr as ``skipped ...`` lines. An inheritance
+cycle, which every corpus command refuses, exits 1 before any manifest is
+written.
 
 Labels CSV rows are either per-contract or per-file:
 
@@ -16,6 +22,8 @@ one ``os.path.normpath`` (``a.sol``, ``./a.sol``) name one file. A label
 row that labels no contract is reported on stderr as
 ``skipped LABELS:LINE: ...``: no such file or contract, a file that does
 not parse, or a per-file row whose contracts all have rows of their own.
+Two rows for one key (a file and contract, or a file) exit 1 naming both
+lines.
 
 Example:
 
@@ -38,10 +46,10 @@ from solmetrics.corpus import (
     LABEL_VULNERABLE,
     MANIFEST_HEADER,
     VULNERABILITY_TYPES,
+    available_cpus,
+    parse_files,
 )
-from solmetrics.errors import LexError
-from solmetrics.lexer import tokenize
-from solmetrics.parser import parse_file
+from solmetrics.errors import CorpusError
 
 LABELS = (LABEL_VULNERABLE, LABEL_NEUTRAL)
 
@@ -60,13 +68,15 @@ def load_labels(path: str) -> dict[tuple[str, str | None], tuple[str, str, int]]
             if lineno == 1 and parts[0] == "file":
                 continue  # header
             if len(parts) >= 3 and parts[2] in LABELS:
-                vuln_type = parts[3] if len(parts) > 3 else ""
-                labels[(os.path.normpath(parts[0]), parts[1])] = (parts[2], vuln_type, lineno)
+                file, contract, rest = parts[0], parts[1], parts[2:]
             elif len(parts) >= 2 and parts[1] in LABELS:
-                vuln_type = parts[2] if len(parts) > 2 else ""
-                labels[(os.path.normpath(parts[0]), None)] = (parts[1], vuln_type, lineno)
+                file, contract, rest = parts[0], None, parts[1:]
             else:
                 sys.exit(f"{path}:{lineno}: cannot interpret label row: {line!r}")
+            key = (os.path.normpath(file), contract)
+            if key in labels:
+                sys.exit(f"{path}:{lineno}: repeats the label row on line {labels[key][2]}")
+            labels[key] = (rest[0], rest[1] if len(rest) > 1 else "", lineno)
     return labels
 
 
@@ -85,38 +95,43 @@ def main(argv: list[str] | None = None) -> int:
 
     labels = load_labels(args.labels) if args.labels else {}
 
+    walked: list[str] = []
+    for dirpath, dirnames, filenames in os.walk(args.root):
+        dirnames.sort()
+        walked.extend(
+            os.path.relpath(os.path.join(dirpath, name), args.root)
+            for name in sorted(filenames)
+            if name.endswith(".sol")
+        )
+    files = [rel for rel in walked if _manifest_can_hold(rel)]
+    try:
+        parsed = {pf.path: pf for pf in parse_files(args.root, files, available_cpus())}
+    except CorpusError as exc:
+        sys.exit(str(exc))
+
     rows: list[str] = []
     skipped: list[str] = []
     labeled: set[tuple[str, str | None]] = set()  # the keys of labels that label a contract
     counts = {LABEL_VULNERABLE: 0, LABEL_NEUTRAL: 0}
-    for dirpath, dirnames, filenames in os.walk(args.root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if not name.endswith(".sol"):
-                continue
-            full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, args.root)
-            if not _manifest_can_hold(rel):
-                skipped.append(f"{rel!r}: a comma, line break or edge blank in the path")
-                continue
-            try:
-                with open(full, "rb") as fh:
-                    source = fh.read().decode("utf-8")
-                unit = parse_file(tokenize(source), rel)
-            except (OSError, UnicodeDecodeError, LexError) as exc:
-                skipped.append(f"{rel}: {exc}")
-                continue
-            for contract in unit.contracts:
-                key = (rel, contract.name) if (rel, contract.name) in labels else (rel, None)
-                labeled.add(key)
-                label, vuln_type, _ = labels.get(key, (args.default_label, "", 0))
-                if label == LABEL_NEUTRAL:
-                    vuln_type = ""
-                if vuln_type and vuln_type not in VULNERABILITY_TYPES:
-                    skipped.append(f"{rel}:{contract.name}: unknown type {vuln_type!r}")
-                    vuln_type = ""
-                rows.append(f"{rel},{contract.name},{label},{vuln_type}")
-                counts[label] += 1
+    for rel in walked:
+        pf = parsed.get(rel)
+        if pf is None:
+            skipped.append(f"{rel!r}: a comma, line break or edge blank in the path")
+            continue
+        if pf.error is not None:
+            skipped.append(f"{rel}: {pf.error}")
+        skipped.extend(pf.diagnostics)
+        for contract in pf.contracts:
+            key = (rel, contract.name) if (rel, contract.name) in labels else (rel, None)
+            labeled.add(key)
+            label, vuln_type, _ = labels.get(key, (args.default_label, "", 0))
+            if label == LABEL_NEUTRAL:
+                vuln_type = ""
+            if vuln_type and vuln_type not in VULNERABILITY_TYPES:
+                skipped.append(f"{rel}:{contract.name}: unknown type {vuln_type!r}")
+                vuln_type = ""
+            rows.append(f"{rel},{contract.name},{label},{vuln_type}")
+            counts[label] += 1
     for (file, contract), (_, _, line) in sorted(labels.items(), key=lambda item: item[1][2]):
         if (file, contract) not in labeled:
             target = file if contract is None else f"{file}:{contract}"
