@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from solmetrics.errors import DegenerateInputError, InputError
 from solmetrics.stats import (
-    _t_masses,
+    MIN_DF,
     correlation_matrix,
     mean_confidence_interval,
     paired_t_test,
@@ -411,6 +412,25 @@ def test_welch_keeps_groups_whose_squares_underflow():
     assert not r.zero_variance and 0.0 < r.p_value < 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 400),
+    st.integers(2, 400),
+    st.floats(-150.0, 150.0),
+    st.floats(-150.0, 150.0),
+    st.integers(0, 2**32),
+)
+def test_welch_df_lies_between_the_smaller_group_and_both(nx, ny, ex, ey, seed):
+    # Welch (1947): min(nx, ny) - 1 <= df <= nx + ny - 2, so no analysis asks
+    # the t distribution for a df below 1, let alone below MIN_DF
+    rnd = random.Random(seed)
+    x = [rnd.uniform(-1.0, 1.0) * 10.0**ex for _ in range(nx)]
+    y = [rnd.uniform(-1.0, 1.0) * 10.0**ey for _ in range(ny)]
+    df = welch_t_test(x, y).degrees_of_freedom
+    assert (min(nx, ny) - 1) * (1 - 1e-12) <= df <= (nx + ny - 2) * (1 + 1e-12)
+    assert df > MIN_DF
+
+
 def test_welch_df_squares_by_multiplication():
     # found by search: with ``(vx / nx) ** 2`` a libm whose ``pow`` is not
     # correctly rounded (glibc 2.36) gives df 2.0761756717245654
@@ -536,8 +556,12 @@ def test_t_quantile_hand_value():
 # mpmath at 40 digits is the oracle for the t distribution. Its betainc sums
 # the hypergeometric series, independent of the continued fraction in stats.
 
-# df from 1 to 1e5, as integers (Spearman, paired) and as fractions (Welch)
-_DF = st.integers(1, 100_000).map(float) | st.floats(0.0, 5.0).map(lambda e: 10.0**e)
+# df from 1 to 1e5 as integers (Spearman, paired), and as fractions from
+# the floor MIN_DF up (Welch reaches 1, and the functions take any df from
+# the floor)
+_DF = st.integers(1, 100_000).map(float) | st.floats(math.log10(MIN_DF), 5.0).map(
+    lambda e: max(MIN_DF, 10.0**e)
+)
 
 
 def mp_t_tail(t, df):
@@ -578,18 +602,22 @@ def test_t_cdf_keeps_the_complement_of_x():
 @pytest.mark.parametrize("df", [1e-3, 1e-10, 1e-50, 1e-300])
 @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 10.0, 1e3, 1e100])
 def test_t_masses_keep_the_centre_at_tiny_df(t, df):
-    # For df far below 1 the tail is within about df|ln x| of 1/2, so the
-    # centre mass P(0 < T < t) must not be formed as 1/2 minus the tail.
-    # Resolving it from the tail takes about -log10(df) digits more.
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40 - int(math.log10(df))):
-        n = mp.mpf(df)
-        below = mp.betainc(n / 2, 0.5, 0, n / (n + mp.mpf(t) ** 2), regularized=True)
-        tail, centre = below / 2, (1 - below) / 2
-    ours_tail, ours_centre, _ = _t_masses(t, df)
-    assert relative_error(ours_tail, tail) <= 1e-12
-    assert relative_error(ours_centre, centre) <= 1e-12
-    assert student_t_cdf(t, df) >= 0.5 >= student_t_cdf(-t, df)
+    # Below MIN_DF the centre mass P(0 < T < t), 1/2 minus a tail within
+    # about (df/2)|ln x| of 1/2, would lose its digits to cancellation, so
+    # neither function returns one: both refuse the df and name the floor.
+    with pytest.raises(InputError, match="MIN_DF"):
+        student_t_cdf(t, df)
+    with pytest.raises(InputError, match="MIN_DF"):
+        student_t_quantile(1.0 / (1.0 + t), df)
+
+
+def test_t_floor_admits_min_df_and_passes_nan():
+    assert 0.5 < student_t_cdf(1.0, MIN_DF) < 1.0
+    assert student_t_quantile(0.6, MIN_DF) > 0.0
+    assert math.isnan(student_t_cdf(1.0, math.nan))
+    assert math.isnan(student_t_quantile(0.9, math.nan))
+    with pytest.raises(InputError, match="positive"):
+        student_t_quantile(0.9, -1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,13 +628,29 @@ def test_t_quantile_matches_mpmath(p, df):
     if p == 0.5:
         assert t == 0.0
         return
+    beyond = min(p, 1 - p)
+    if math.isinf(t):  # only a quantile past the float range rounds to infinity
+        assert math.copysign(1.0, t) == math.copysign(1.0, p - 0.5)
+        assert mp_t_tail(sys.float_info.max, df) > beyond
+        return
     with mp.workdps(40):
         n, big_t = mp.mpf(df), mp.mpf(t)
         tail = mp.betainc(n / 2, 0.5, 0, n / (n + big_t**2), regularized=True) / 2
         cdf = tail if t < 0 else 1 - tail
         density = (1 + big_t**2 / n) ** (-(n + 1) / 2) / (mp.sqrt(n) * mp.beta(n / 2, 0.5))
-        # to first order, t lies (cdf - p) / density from the exact quantile
-        assert float(abs((cdf - p) / (density * big_t))) <= 1e-13
+        # to first order, t lies (cdf - p) / density from the exact quantile.
+        # Below df = 1 the relative error of the mass solved for is scaled by
+        # the quantile's condition number mass / (|t| density), about 1/df.
+        mass = beyond if beyond < 0.25 else 0.5 - beyond
+        cond = 1.0 if df >= 1 else max(1.0, float(mass / (density * abs(big_t))))
+        assert float(abs((cdf - p) / (density * big_t))) <= 1e-13 * cond
+
+
+def test_t_quantile_past_the_float_range_is_infinite():
+    # the exact quantiles lie near -3.2e309 and, at df = 2e-3, far beyond
+    assert student_t_quantile(1e-310, 1.0) == -math.inf
+    assert student_t_quantile(0.9, MIN_DF) == math.inf
+    assert student_t_quantile(1e-300, 1.0) == pytest.approx(-1 / (math.pi * 1e-300), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
