@@ -177,8 +177,9 @@ class _ParsedFile(Record):
 def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
     """Read, parse and measure one file; the parse tree stays in this process.
 
-    Each contract's DIT, NOA and NOD are the ones it gives alone, measured
-    against an empty inheritance graph.
+    Each contract is measured against an empty inheritance graph, which
+    holds no contract, so its DIT, NOA and NOD read 0 here;
+    :func:`parse_files` sets them from the corpus graph.
     """
     root, file = args
     full = os.path.join(root, file)
@@ -194,13 +195,13 @@ def _parse_sol_file(args: tuple[str, str]) -> _ParsedFile:
     try:
         tokens = tokenize(source)
         unit = parse_file(tokens, file)
-        alone = InheritanceGraph()
+        empty = InheritanceGraph()
         contracts = []
         for contract in unit.contracts:
             lines = line_accounting(unit, contract)
             text = normalized_contract_text(unit, contract)
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            metrics = contract_metrics(contract, lines, alone, file)
+            metrics = contract_metrics(contract, lines, empty, file)
             contracts.append(ContractFacts(contract.name, contract.base_names, digest, metrics))
     except LexError as exc:
         return _ParsedFile(file, error=f"lex error: {exc}")
@@ -316,7 +317,7 @@ def parse_files(root: str, files: list[str], jobs: int = 1) -> list[_ParsedFile]
             key = (pf.path, facts.name)
             m = facts.metrics
             tree = graph.dit(key), graph.noa(key), graph.nod(key)
-            if tree != (m.dit, m.noa, m.nod):  # as the contract measured alone
+            if tree != (m.dit, m.noa, m.nod):  # 0, 0, 0 as the worker measured them
                 dit, noa, nod = tree
                 pf.contracts[i] = facts._replace(metrics=m._replace(dit=dit, noa=noa, nod=nod))
     return parsed

@@ -53,29 +53,17 @@ def contract_metrics(
 ) -> ContractMetrics:
     """Assemble the full 21-component vector for one contract.
 
-    ``path`` locates the contract in the inheritance graph; function sums
-    run over functions, constructors and fallback/receive handlers, never
-    modifier definitions. Averages divide function-level totals by nf and
-    are zero for function-less contracts.
+    ``path`` locates the contract in the inheritance graph, which gives its
+    DIT, NOA and NOD; a contract the graph does not hold reads 0 for all
+    three. Function sums run over functions, constructors and
+    fallback/receive handlers, never modifier definitions. Averages divide
+    function-level totals by nf and are zero for function-less contracts.
     """
-    counted = [f for f in contract.functions if f.counts_as_function]
-    per_fn: list[FunctionMetrics] = [f.metrics for f in counted]
-    nf = len(counted)
-    mccc_total = sum(m.mccc for m in per_fn)
-    wmc = sum(m.mccc_strict for m in per_fn)
-    nl = sum(m.nl for m in per_fn)
-    nle = sum(m.nle for m in per_fn)
-    numpar = sum(m.numpar for m in per_fn)
-    fn_nos = sum(m.nos for m in per_fn)
-    noi = sum(m.noi for m in per_fn)
-
+    per_fn = [f.metrics for f in contract.functions if f.counts_as_function]
+    nf = len(per_fn)
+    # one pass over the functions; the leading zero row sums a function-less contract to zeros
+    totals = FunctionMetrics._make(map(sum, zip((0,) * len(FunctionMetrics._fields), *per_fn)))
     key = (path, contract.name)
-    if key in graph.nodes:
-        dit, noa, nod = graph.dit(key), graph.noa(key), graph.nod(key)
-    else:
-        dit = 1 if contract.base_names else 0
-        noa = len(set(contract.base_names))
-        nod = 0
 
     def avg(total: int) -> float:
         return total / nf if nf else 0.0
@@ -85,21 +73,21 @@ def contract_metrics(
         lloc=lines.lloc,
         cloc=lines.cloc,
         nf=nf,
-        wmc=wmc,
-        nl=nl,
-        nle=nle,
-        numpar=numpar,
-        nos=fn_nos + contract.declaration_count,
-        dit=dit,
-        noa=noa,
-        nod=nod,
+        wmc=totals.mccc_strict,
+        nl=totals.nl,
+        nle=totals.nle,
+        numpar=totals.numpar,
+        nos=totals.nos + contract.declaration_count,
+        dit=graph.dit(key),
+        noa=graph.noa(key),
+        nod=graph.nod(key),
         cbo=len(contract.type_refs - {contract.name}),
         na=len(contract.state_vars),
-        noi=noi,
-        avg_mccc=avg(mccc_total),
-        avg_nl=avg(nl),
-        avg_nle=avg(nle),
-        avg_numpar=avg(numpar),
-        avg_nos=avg(fn_nos),
-        avg_noi=avg(noi),
+        noi=totals.noi,
+        avg_mccc=avg(totals.mccc),
+        avg_nl=avg(totals.nl),
+        avg_nle=avg(totals.nle),
+        avg_numpar=avg(totals.numpar),
+        avg_nos=avg(totals.nos),
+        avg_noi=avg(totals.noi),
     )

@@ -264,11 +264,13 @@ def _t_masses(t: float, df: float) -> tuple[float, float, float]:
 
 
 def _check_df(df: float) -> None:
-    """Refuse a df at or below 0, or below :data:`MIN_DF`; a NaN df passes."""
+    """Refuse a df at or below 0, below :data:`MIN_DF` or infinite; a NaN df passes."""
     if df <= 0:
         raise InputError("degrees of freedom must be positive")
     if df < MIN_DF:
         raise InputError(f"degrees of freedom must be at least MIN_DF = {MIN_DF}")
+    if df == math.inf:
+        raise InputError("degrees of freedom must be finite")
 
 
 def student_t_cdf(t: float, df: float) -> float:
@@ -278,7 +280,7 @@ def student_t_cdf(t: float, df: float) -> float:
         return math.nan
     if math.isinf(t):
         return 0.0 if t < 0 else 1.0
-    if not math.isfinite(df):
+    if math.isnan(df):
         return math.nan
     tail, centre, _ = _t_masses(t, df)
     return tail if t < 0 else 0.5 + centre
@@ -293,7 +295,7 @@ def student_t_quantile(p: float, df: float) -> float:
         raise InputError("probability must lie strictly between 0 and 1")
     if p == 0.5:
         return 0.0
-    if not math.isfinite(df):
+    if math.isnan(df):
         return math.nan
     # Solve for |t| on the smaller of the two masses: the tail beyond |t|, or
     # the centre between 0 and |t|. Both targets are exact: 1 - p for p >= 1/2,

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import metrics_for
 from golden_corpus import GOLDEN, NAMED_TYPE_GOLDEN, SOLIDITY_08_GOLDEN
-from solmetrics.metrics import METRIC_NAMES
-from solmetrics.parser import parse_source
+from solmetrics.inheritance import InheritanceGraph
+from solmetrics.metrics import METRIC_NAMES, contract_metrics
+from solmetrics.parser import line_accounting, parse_source
 
 
 def test_empty_contract_vector_is_zero_except_lines():
@@ -43,6 +44,14 @@ def test_sibling_inheritance_and_fanout():
     a, b = vectors["A"], vectors["B"]
     assert (a.nf, a.noi, a.cbo, a.dit, a.noa) == (1, 2, 1, 1, 1)
     assert b.nod == 1
+
+
+def test_tree_metrics_come_only_from_the_graph():
+    # a contract the graph does not hold reads 0, whatever bases it names
+    unit = parse_source("contract A is B, C {}", "a.sol")
+    (contract,) = unit.contracts
+    m = contract_metrics(contract, line_accounting(unit, contract), InheritanceGraph(), "a.sol")
+    assert (m.dit, m.noa, m.nod) == (0, 0, 0)
 
 
 HAND_COUNTED = {**GOLDEN, **NAMED_TYPE_GOLDEN, **SOLIDITY_08_GOLDEN}

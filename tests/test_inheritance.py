@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from solmetrics.corpus import parse_files
 from solmetrics.errors import CorpusError
 from solmetrics.inheritance import build_inheritance_graph
 from solmetrics.parser import parse_source
@@ -182,14 +185,11 @@ def _brute_force(graph) -> dict:
 @given(_corpus())
 @example({"f0.sol": [("C0", []), ("C1", ["C0", "C0"]), ("C2", ["C1"])]})
 def test_tree_metrics_match_brute_force(files):
-    units = [
-        parse_source(
-            "\n".join(f"contract {n}{' is ' + ', '.join(b) if b else ''} {{}}" for n, b in cs),
-            file,
-        )
+    sources = {
+        file: "\n".join(f"contract {n}{' is ' + ', '.join(b) if b else ''} {{}}" for n, b in cs)
         for file, cs in files.items()
-    ]
-    g = build_inheritance_graph(units)
+    }
+    g = build_inheritance_graph([parse_source(source, file) for file, source in sources.items()])
     defined = {(file, name) for file, cs in files.items() for name, _ in cs}
     edges, unresolved = set(), set()
     for file, cs in files.items():
@@ -207,3 +207,15 @@ def test_tree_metrics_match_brute_force(files):
     assert got == _brute_force(g)
     unknown = ("nowhere.sol", "C0")
     assert (g.dit(unknown), g.noa(unknown), g.nod(unknown)) == (0, 0, 0)
+    # the CLI's vectors: tempfile, as Hypothesis refuses the function-scoped tmp_path
+    with tempfile.TemporaryDirectory() as root:
+        for file, source in sources.items():
+            with open(os.path.join(root, file), "w", encoding="utf-8") as fh:
+                fh.write(source)
+        parsed = parse_files(root, list(sources), 1)
+    vectors = {
+        (pf.path, c.name): (c.metrics.dit, c.metrics.noa, c.metrics.nod)
+        for pf in parsed
+        for c in pf.contracts
+    }
+    assert vectors == got

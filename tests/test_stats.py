@@ -618,6 +618,10 @@ def test_t_floor_admits_min_df_and_passes_nan():
     assert math.isnan(student_t_quantile(0.9, math.nan))
     with pytest.raises(InputError, match="positive"):
         student_t_quantile(0.9, -1.0)
+    with pytest.raises(InputError, match="finite"):
+        student_t_cdf(1.0, math.inf)
+    with pytest.raises(InputError, match="finite"):
+        student_t_quantile(0.9, math.inf)
 
 
 @settings(max_examples=60, deadline=None)
