@@ -253,14 +253,22 @@ def _plan_shares(root: str, files: list[str], workers: int) -> list[list[int]] |
 def _fork_join(tasks: list[tuple[str, str]], shares: list[list[int]]) -> list[_ParsedFile]:
     """Parse the first share here and each other share in a forked child
     that pipes its results back; results come back in the order of
-    ``tasks``. A child that fails costs time: its share is parsed here."""
+    ``tasks``. A child that fails costs time: its share is parsed here.
+    So does a pipe or fork that fails: no more children are forked, and
+    every share without one is parsed here."""
     import pickle  # imported here: a run that parses in this process pickles nothing
 
     children = []
     try:
         for share in shares[1:]:
-            reader, writer = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = reader, writer = os.pipe()
+                pid = os.fork()
+            except OSError:  # EAGAIN, EMFILE, ENOMEM: no child for this share or the rest
+                for fd in fds:
+                    os.close(fd)
+                break
             if pid == 0:  # the child never returns into its caller's frames
                 try:
                     with open(writer, "wb") as out:
@@ -270,7 +278,8 @@ def _fork_join(tasks: list[tuple[str, str]], shares: list[list[int]]) -> list[_P
                     os._exit(1)
             os.close(writer)  # or the next child holds it, and reading waits for it
             children.append((pid, open(reader, "rb")))
-        parsed = {i: _parse_sol_file(tasks[i]) for i in shares[0]}
+        here = [shares[0], *shares[1 + len(children) :]]
+        parsed = {i: _parse_sol_file(tasks[i]) for share in here for i in share}
         payloads = [pipe.read() for _, pipe in children]
     finally:
         for _, pipe in children:
@@ -398,8 +407,9 @@ JSON_ENCODER = _JsonLayout(indent=2, sort_keys=True)
 
 
 def write_json(path: str, payload: object) -> None:
-    """Stream ``payload`` to ``path`` in the package's JSON layout."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Stream ``payload`` to ``path`` in the package's JSON layout, its
+    lines ending in ``\\n`` on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(JSON_ENCODER.iterencode(payload))
 
 

@@ -839,7 +839,7 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
                 cur.advance()
                 parts = []
                 while cur.i < cur.n and (part := texts[cur.i]) != ";":
-                    if part in _CONTRACT_KINDS:
+                    if _starts_top_level(kinds[cur.i], part):
                         break
                     parts.append(part)
                     cur.advance()

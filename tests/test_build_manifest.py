@@ -1,16 +1,39 @@
 from __future__ import annotations
 
+import errno
 import importlib.util
 import os
 
 import pytest
 
-from solmetrics.corpus import ingest, load_manifest
+from solmetrics.corpus import LABEL_NEUTRAL, ingest, load_manifest
 
 _TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "build_manifest.py")
 _spec = importlib.util.spec_from_file_location("build_manifest", _TOOL)
 build_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(build_manifest)
+
+
+def _build(root, out, labels=None) -> None:
+    """Run the tool; ``load_manifest`` must read back what it wrote, each row
+    with its label row's label and type, or the default label and no type."""
+    argv = [str(root), "--out", str(out)] + ([] if labels is None else ["--labels", str(labels)])
+    assert build_manifest.main(argv) == 0
+    rows = {} if labels is None else build_manifest.load_labels(str(labels))
+    for entry in load_manifest(str(out)).entries:
+        file = os.path.normpath(entry.file)
+        default = rows.get((file, None), (LABEL_NEUTRAL, "", 0))
+        label, vuln_type, _ = rows.get((file, entry.contract), default)
+        assert (entry.label, entry.vuln_type) == (label, vuln_type or None)
+
+
+def _refusal(argv: list[str]) -> str:
+    """The one stderr line the tool exits 1 with."""
+    with pytest.raises(SystemExit) as exc:
+        build_manifest.main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    return message
 
 
 @pytest.fixture
@@ -26,8 +49,7 @@ def built(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text("file,contract,label,type\na.sol,A1,vulnerable,RE\nsub/b.sol,vulnerable,TP\n")
     out = tmp_path / "manifest.csv"
-    rc = build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)])
-    assert rc == 0
+    _build(root, out, labels)
     return str(out), str(root), capsys.readouterr().err
 
 
@@ -73,7 +95,7 @@ def test_labels_csv_with_byte_order_mark(tmp_path, capsys, header):
     labels = tmp_path / "labels.csv"
     labels.write_bytes(("\ufeff" + header + "a.sol,A,vulnerable,RE\n").encode("utf-8"))
     out = tmp_path / "manifest.csv"
-    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    _build(root, out, labels)
     capsys.readouterr()
     assert out.read_text(encoding="utf-8").splitlines() == [
         "file,contract,label,type",
@@ -90,7 +112,7 @@ def test_label_row_paths_are_normalized(tmp_path, capsys):
     labels = tmp_path / "labels.csv"
     labels.write_text("./a.sol,A,vulnerable,RE\nsub/../sub/./c.sol,vulnerable,TP\n")
     out = tmp_path / "manifest.csv"
-    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    _build(root, out, labels)
     assert capsys.readouterr().err == ""
     assert out.read_text(encoding="utf-8").splitlines() == [
         "file,contract,label,type",
@@ -116,7 +138,7 @@ def test_label_rows_that_label_no_contract_are_reported(tmp_path, capsys):
         "b.sol,B2,vulnerable,TP\n"
     )
     out = tmp_path / "manifest.csv"
-    assert build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)]) == 0
+    _build(root, out, labels)
     assert capsys.readouterr().err.splitlines() == [
         f"skipped {labels}:2: label row for a.sol:Z labels no contract",
         f"skipped {labels}:4: label row for gone.sol labels no contract",
@@ -138,10 +160,76 @@ def test_repeated_label_row_exits_1(tmp_path, capsys, spelling):
     labels = tmp_path / "labels.csv"
     labels.write_text(f"a.sol,A,vulnerable,RE\n{spelling},A,neutral\n")
     out = tmp_path / "manifest.csv"
-    with pytest.raises(SystemExit) as exc:
-        build_manifest.main([str(root), "--labels", str(labels), "--out", str(out)])
-    assert exc.value.code == f"{labels}:2: repeats the label row on line 1"
+    argv = [str(root), "--labels", str(labels), "--out", str(out)]
+    assert _refusal(argv) == f"{labels}:2: repeats the label row on line 1"
     assert not out.exists()
+
+
+def _missing(path: str) -> str:
+    return str(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path))
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (None, lambda p: f"cannot read labels CSV {p!r}: {_missing(p)}"),
+        (b"a.sol,A,vulnerable,RE\n\xff\n", lambda p: f"labels CSV {p!r} is not valid UTF-8"),
+        (b"a.sol,B,vulnerable\na.sol,A,neutral,RE\n",
+         lambda p: f"{p}:2: type tag only allowed on vulnerable rows"),
+        (b"file,contract,label,type\na.sol,B,vulnerable,XX\n",
+         lambda p: f"{p}:2: unknown vulnerability type 'XX'"),
+    ],
+    ids=["missing", "not-utf8", "neutral-type", "unknown-type"],
+)
+def test_labels_csv_load_manifest_would_refuse_exits_1(tmp_path, content, expected):
+    # the labels CSV is read and checked as load_manifest reads a manifest
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\ncontract B {}\n")
+    labels = tmp_path / "labels.csv"
+    if content is not None:
+        labels.write_bytes(content)
+    out = tmp_path / "manifest.csv"
+    argv = [str(root), "--labels", str(labels), "--out", str(out)]
+    assert _refusal(argv) == expected(str(labels))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["a.sol,A,vulnerable,RE,junk", "a.sol,vulnerable,RE,junk"])
+def test_label_row_with_extra_fields_exits_1(tmp_path, row):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"file,contract,label,type\n{row}\n")
+    out = tmp_path / "manifest.csv"
+    assert _refusal([str(root), "--labels", str(labels), "--out", str(out)]) == (
+        f"{labels}:2: expected file,contract,label[,type] or file,label[,type], got {row!r}"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_root_that_is_not_a_directory_exits_1(tmp_path, kind):
+    root = tmp_path / "nosuchdir"
+    if kind == "file":
+        root.write_text("contract A {}\n")
+    out = tmp_path / "manifest.csv"
+    assert _refusal([str(root), "--out", str(out)]) == (
+        f"source root {str(root)!r} is not a directory"
+    )
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_1(tmp_path):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    out = tmp_path / "missing" / "manifest.csv"
+    assert _refusal([str(root), "--out", str(out)]) == (
+        f"cannot write output {str(out)!r}: {os.strerror(errno.ENOENT)}"
+    )
+    assert not out.parent.exists()
 
 
 def test_inheritance_cycle_exits_1_before_writing(tmp_path):
@@ -150,9 +238,9 @@ def test_inheritance_cycle_exits_1_before_writing(tmp_path):
     (root / "a.sol").write_text("contract A is B {}\n")
     (root / "b.sol").write_text("contract B is A {}\ncontract C {}\n")
     out = tmp_path / "manifest.csv"
-    with pytest.raises(SystemExit) as exc:
-        build_manifest.main([str(root), "--out", str(out)])
-    assert exc.value.code == "inheritance cycle: a.sol:A -> b.sol:B -> a.sol:A"
+    assert _refusal([str(root), "--out", str(out)]) == (
+        "inheritance cycle: a.sol:A -> b.sol:B -> a.sol:A"
+    )
     assert not out.exists()
 
 
@@ -163,7 +251,7 @@ def test_files_are_read_as_the_corpus_commands_read_them(tmp_path, capsys):
     (root / "lex.sol").write_text('contract L { string s = "open; }\n')
     (root / "latin1.sol").write_bytes("contract Café {}\n".encode("latin-1"))
     out = tmp_path / "manifest.csv"
-    assert build_manifest.main([str(root), "--out", str(out)]) == 0
+    _build(root, out)
     captured = capsys.readouterr()
     assert captured.out == f"wrote 2 entries to {out} (0 vulnerable, 2 neutral)\n"
     assert captured.err.splitlines() == [
@@ -185,7 +273,7 @@ def test_files_go_to_forked_workers_where_they_pay(tmp_path, monkeypatch, capsys
     for i in range(4):
         (root / f"c{i}.sol").write_text(f"contract C{i} {{}}\n")
     out = tmp_path / "manifest.csv"
-    assert build_manifest.main([str(root), "--out", str(out)]) == 0
+    _build(root, out)
     assert pooled == [4]
     assert out.read_text(encoding="utf-8").splitlines() == [
         "file,contract,label,type",

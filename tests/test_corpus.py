@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -454,8 +455,14 @@ def test_parse_files_without_fork_parses_in_process(tmp_path, monkeypatch, recor
 def _failing_child(how: str, parent: int):
     """The module and name to patch so that a forked child fails on f2.sol:
     ``_parse_sol_file`` exits, is killed or is interrupted there, or
-    ``pickle.dump`` sends a short or an unreadable payload."""
+    ``pickle.dump`` sends a short or an unreadable payload; or so that no
+    child starts: ``os.fork`` or ``os.pipe`` fails."""
     real = corpus._parse_sol_file
+
+    def fail(*_):
+        if how == "fork":
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
     def parse(args):
         if args[1].endswith("f2.sol") and os.getpid() != parent:
@@ -470,10 +477,17 @@ def _failing_child(how: str, parent: int):
         payload = pickle.dumps(obj)
         fh.write(payload[: len(payload) // 2] if how == "short" else b"not a pickle")
 
+    if how in ("fork", "pipe"):
+        return os, how, fail
     return (pickle, "dump", dump) if how in ("short", "garbage") else (corpus, "_parse_sol_file", parse)
 
 
-@pytest.mark.parametrize("how", ["exit", "signal", "interrupt", "short", "garbage"])
+def _open_fds() -> list[str] | None:
+    """This process's open descriptors, on hosts with ``/proc/self/fd``."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("how", ["exit", "signal", "interrupt", "short", "garbage", "fork", "pipe"])
 def test_failed_child_changes_no_output(tmp_path, monkeypatch, capsys, recording_join, how):
     files = _write_sized(tmp_path, [100, 300, 200])
     paths = [str(tmp_path / f) for f in files]
@@ -481,6 +495,7 @@ def test_failed_child_changes_no_output(tmp_path, monkeypatch, capsys, recording
     serial = cli.main(["metrics", *paths, "--jobs", "1"]), capsys.readouterr()
     monkeypatch.setattr(corpus, "POOL_BREAK_EVEN_BYTES", 0)
     parent = os.getpid()
+    fds = _open_fds()
     monkeypatch.setattr(*_failing_child(how, parent))
     try:
         parallel = cli.main(["metrics", *paths, "--jobs", "2"]), capsys.readouterr()
@@ -489,6 +504,7 @@ def test_failed_child_changes_no_output(tmp_path, monkeypatch, capsys, recording
             (tmp_path / "escaped").touch()
             os._exit(0)
     assert not (tmp_path / "escaped").exists()
+    assert _open_fds() == fds  # every pipe end opened is closed again
     # f1.sol, the largest, is parsed here; the child's share fails, and this
     # process parses it again
     assert recording_join == [[[paths[1]], [paths[2], paths[0]]]]

@@ -137,10 +137,20 @@ def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
 
 
 def test_pragma_and_imports_recorded():
-    unit = parse_source('pragma solidity ^0.8.0;\nimport "./Other.sol";\ncontract A {}')
-    assert unit.pragma == "solidity ^0.8.0"
-    assert len(unit.imports) == 1
-    assert unit.contracts[0].name == "A"
+    cases = [
+        ('pragma solidity ^0.8.0;\nimport "./Other.sol";\ncontract A {}',
+         "solidity ^0.8.0", ['"./Other.sol"'], ["A"]),
+        # an import missing its ';' ends where the next top-level item starts
+        ('import "a.sol"\nimport "b.sol";\ncontract A {}', None, ['"a.sol"', '"b.sol"'], ["A"]),
+        ('import "a.sol"\npragma solidity ^0.8.0;\ncontract A {}',
+         "solidity ^0.8.0", ['"a.sol"'], ["A"]),
+        ('import "a.sol"\nabstract contract B {}', None, ['"a.sol"'], ["B"]),
+    ]
+    for src, pragma, imports, contracts in cases:
+        unit = parse_source(src)
+        assert (unit.pragma, unit.imports, [c.name for c in unit.contracts]) == (
+            pragma, imports, contracts
+        ), src
 
 
 def test_contract_span_covers_children():
