@@ -2,10 +2,13 @@
 
 The parser is tolerant by construction: constructs outside the subset are
 brace-matched and swallowed as opaque statements, and a malformed
-top-level item (contract, file-level struct or function, truncated header,
-statements nested deeper than :data:`MAX_NESTING`) produces one diagnostic
-while the rest of the file is still parsed (skip-to-next-top-level
-recovery).
+top-level item (contract, file-level body left open, import missing its
+';', truncated header, statements nested deeper than :data:`MAX_NESTING`)
+produces one diagnostic while the rest of the file is still parsed
+(skip-to-next-top-level recovery). Every file-level item outside a
+contract is skipped by one rule: through its braced body or its ';'
+outside parentheses and brackets, or up to the next pragma, import or
+contract header.
 
 The parser reads the comment-free kind, text and line lists of a
 :class:`~solmetrics.lexer.TokenStream` by index, so it builds no
@@ -395,12 +398,6 @@ def _parse_do_while(cur: _Cursor) -> None:
     _count(cur, invocations, 1 + ternaries, logical)
 
 
-def _parse_return(cur: _Cursor) -> None:
-    cur.advance()
-    lo, hi, _ = _collect_generic_run(cur)
-    _finish_generic(cur, lo, hi)
-
-
 def _parse_named_call(cur: _Cursor) -> None:
     """`emit E(...)` or a `require`/`assert`/`revert` guard.
 
@@ -457,12 +454,6 @@ def _parse_try(cur: _Cursor) -> None:
     _count(cur)
 
 
-def _parse_jump(cur: _Cursor) -> None:
-    cur.advance()
-    cur.match(";")
-    _count(cur)
-
-
 def _parse_simple(cur: _Cursor) -> None:
     """A pragma, an expression or declaration, an empty statement, or an
     unknown block construct swallowed as opaque."""
@@ -490,13 +481,10 @@ _STATEMENT_PARSERS = {
     "for": _parse_for,
     "while": _parse_conditional,
     "do": _parse_do_while,
-    "return": _parse_return,
     "emit": _parse_named_call,
     "unchecked": _parse_unchecked,
     "assembly": _parse_assembly,
     "try": _parse_try,
-    "break": _parse_jump,
-    "continue": _parse_jump,
 }
 
 
@@ -768,41 +756,27 @@ def _recover_to_top_level(cur: _Cursor) -> None:
 
 
 def _skip_toplevel_item(cur: _Cursor) -> None:
-    text = cur.texts[cur.i]
-    if text == "{":
-        cur.i = _group_end(cur.texts, cur.i, cur.n, "{", "}") or cur.n
-        return
-    if text in ("struct", "enum"):
-        _parse_type_decl(cur)
-        return
-    cur.advance()
-    if text == "function":
-        # file-level function: skip header and body
-        while cur.i < cur.n:
-            nt = cur.texts[cur.i]
-            if nt == "{":
-                _collect_balanced(cur, "{", "}")
-                return
-            if nt == ";":
-                cur.advance()
-                return
-            if nt in _CONTRACT_KINDS:
-                return
-            cur.advance()
-        return
+    """Skip a file-level item outside a contract: through its braced body or
+    its ';' outside parentheses and brackets, or up to the next pragma,
+    import or contract header. A body that never closes is ``unbalanced
+    '{'``."""
     depth = 0
     while cur.i < cur.n:
-        nt = cur.texts[cur.i]
-        if depth == 0 and nt == ";":
-            cur.advance()
-            return
-        if depth == 0 and _starts_top_level(cur.kinds[cur.i], nt):
-            return
-        if nt in "([{":
+        text = cur.texts[cur.i]
+        if depth == 0:
+            if text == "{":
+                _collect_balanced(cur, "{", "}")
+                return
+            if text == ";":
+                cur.i += 1
+                return
+            if _starts_top_level(cur.kinds[cur.i], text):
+                return
+        if text in "([":
             depth += 1
-        elif nt in ")]}":
+        elif text in ")]":
             depth = max(0, depth - 1)
-        cur.advance()
+        cur.i += 1
 
 
 def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
@@ -812,12 +786,15 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
     :class:`~solmetrics.lexer.Token`.
 
     Every well-formed top-level contract/interface/library becomes one
-    :class:`ContractDef`. A malformed top-level item, including a contract
-    whose statements nest deeper than :data:`MAX_NESTING`, becomes one
-    diagnostic and parsing resumes at the next top-level construct; no
-    input raises. Duplicate contract names within a file keep the first
-    definition and diagnose the rest. The unit keeps the stream as
-    ``lines`` for :func:`line_accounting` and
+    :class:`ContractDef`. Any other file-level item is skipped through its
+    braced body or its ';', or up to the next pragma, import or contract
+    header. A malformed top-level item, including a contract whose
+    statements nest deeper than :data:`MAX_NESTING`, a file-level body
+    left open (``unbalanced '{'``) and an import missing its ';' (recorded
+    all the same), becomes one diagnostic and parsing resumes at the next
+    top-level construct; no input raises. Duplicate contract names within
+    a file keep the first definition and diagnose the rest. The unit keeps
+    the stream as ``lines`` for :func:`line_accounting` and
     :func:`normalized_contract_text`.
     """
     cur = _Cursor(tokens)
@@ -843,8 +820,9 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
                         break
                     parts.append(part)
                     cur.advance()
-                cur.match(";")
                 imports.append(" ".join(parts))
+                if not cur.match(";"):
+                    raise ParseError("expected ';' after import", cur.item_line)
             elif text in _CONTRACT_KINDS or text == "abstract":
                 contract = _parse_contract(cur)
                 if contract.name in seen_names:

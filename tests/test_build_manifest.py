@@ -104,6 +104,30 @@ def test_labels_csv_with_byte_order_mark(tmp_path, capsys, header):
     ]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\nfile,contract,label,type\na.sol,A,vulnerable,RE\n",
+        "# labels\nfile,label,type\na.sol,vulnerable,RE\n",
+    ],
+    ids=["blank-line", "comment-line"],
+)
+def test_labels_csv_header_after_blank_or_comment_lines(tmp_path, capsys, text):
+    # the header is the first row that is neither blank nor a comment
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    out = tmp_path / "manifest.csv"
+    _build(root, out, labels)
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "file,contract,label,type",
+        "a.sol,A,vulnerable,RE",
+    ]
+
+
 def test_label_row_paths_are_normalized(tmp_path, capsys):
     root = tmp_path / "src"
     (root / "sub").mkdir(parents=True)
@@ -195,7 +219,8 @@ def test_labels_csv_load_manifest_would_refuse_exits_1(tmp_path, content, expect
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", ["a.sol,A,vulnerable,RE,junk", "a.sol,vulnerable,RE,junk"])
+# only the first row may be a header, so a second one is a row of neither form
+@pytest.mark.parametrize("row", ["a.sol,A,vulnerable,RE,junk", "a.sol,vulnerable,RE,junk", "file,label"])
 def test_label_row_with_extra_fields_exits_1(tmp_path, row):
     root = tmp_path / "src"
     root.mkdir()

@@ -87,8 +87,17 @@ def test_nesting_limit_per_shape(shape):
         ("struct S {\n  uint a;", "unbalanced '{'"),
         ("function g() pure {\n  return;", "unbalanced '{'"),
         ("contract B { function (", "unbalanced '('"),
+        ("abstract foo Bar {}", "expected contract keyword, found 'foo'"),
+        ("contract B { function f() public { if (x)", "unexpected end of file in statement"),
     ],
-    ids=["bare-abstract", "unterminated-struct", "unterminated-function", "member-function-at-eof"],
+    ids=[
+        "bare-abstract",
+        "unterminated-struct",
+        "unterminated-function",
+        "member-function-at-eof",
+        "abstract-non-contract",
+        "if-at-eof",
+    ],
 )
 def test_malformed_file_level_item_is_a_diagnostic(tail, message):
     unit = parse_source("contract A { uint x; }\n" + tail, "bad.sol")
@@ -137,20 +146,29 @@ def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
 
 
 def test_pragma_and_imports_recorded():
+    unterminated = ["<string>:1: expected ';' after import"]
     cases = [
         ('pragma solidity ^0.8.0;\nimport "./Other.sol";\ncontract A {}',
-         "solidity ^0.8.0", ['"./Other.sol"'], ["A"]),
-        # an import missing its ';' ends where the next top-level item starts
-        ('import "a.sol"\nimport "b.sol";\ncontract A {}', None, ['"a.sol"', '"b.sol"'], ["A"]),
+         "solidity ^0.8.0", ['"./Other.sol"'], ["A"], []),
+        # an import missing its ';' is a diagnostic, and ends where the next
+        # top-level item starts
+        ('import "a.sol"\nimport "b.sol";\ncontract A {}',
+         None, ['"a.sol"', '"b.sol"'], ["A"], unterminated),
         ('import "a.sol"\npragma solidity ^0.8.0;\ncontract A {}',
-         "solidity ^0.8.0", ['"a.sol"'], ["A"]),
-        ('import "a.sol"\nabstract contract B {}', None, ['"a.sol"'], ["B"]),
+         "solidity ^0.8.0", ['"a.sol"'], ["A"], unterminated),
+        ('import "a.sol"\nabstract contract B {}', None, ['"a.sol"'], ["B"], unterminated),
+        # a file-level item missing its body ends where the next one starts
+        ('function f()\nimport "x.sol";\ncontract A {}', None, ['"x.sol"'], ["A"], []),
+        ("function f()\npragma solidity ^0.8.0;\ncontract A {}", "solidity ^0.8.0", [], ["A"], []),
     ]
-    for src, pragma, imports, contracts in cases:
+    for src, pragma, imports, contracts, diagnostics in cases:
         unit = parse_source(src)
-        assert (unit.pragma, unit.imports, [c.name for c in unit.contracts]) == (
-            pragma, imports, contracts
-        ), src
+        assert (
+            unit.pragma,
+            unit.imports,
+            [c.name for c in unit.contracts],
+            [str(d) for d in unit.diagnostics],
+        ) == (pragma, imports, contracts, diagnostics), src
 
 
 def test_contract_span_covers_children():
@@ -242,6 +260,9 @@ def test_try_catch_swallowed_as_opaque():
     m = fn_metrics("try other.run() returns (uint v) { x = v; } catch { x = 0; } x = 1;")
     # the try is one statement; neither its call nor its clauses count
     assert (m.mccc, m.nos, m.noi) == (1, 2, 0)
+    # a brace inside the call's parentheses is not the try body
+    m = fn_metrics("try f(S({a: 1})) returns (uint v) { x = v; } catch { } y = 1;")
+    assert (m.mccc, m.nos, m.noi) == (1, 2, 0)
 
 
 def test_condition_ops_counted_in_conditions_only():
@@ -310,6 +331,14 @@ contract A { uint y; }
     unit = parse_source("function broken(uint x)\ncontract B { uint z; }\n")
     assert [(c.name, c.state_vars) for c in unit.contracts] == [("B", ["z"])]
     assert not unit.diagnostics
+    # an item's braced body ends it, whatever brackets it leaves open
+    unit = parse_source("x { g(; }\ncontract B {}")
+    assert [c.name for c in unit.contracts] == ["B"]
+    assert not unit.diagnostics
+    # a file-level body that never closes is a diagnostic
+    unit = parse_source("{\ncontract B {}", "bad.sol")
+    assert not unit.contracts
+    assert [str(d) for d in unit.diagnostics] == ["bad.sol:1: unbalanced '{'"]
 
 
 def test_old_style_unnamed_fallback_function():

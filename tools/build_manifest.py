@@ -10,7 +10,9 @@ Files are read as the corpus commands read them, with the same skips and
 the same forked workers where they pay. A skipped file and each parse
 diagnostic are reported on stderr as ``skipped ...`` lines.
 
-Labels CSV rows are either per-contract or per-file:
+Labels CSV rows are either per-contract or per-file; blank lines and
+``#`` lines are skipped, and the first other row may be a ``file,...``
+header:
 
     file,contract,label[,type]     one contract in that file
     file,label[,type]              every contract in that file
@@ -74,12 +76,11 @@ def load_labels(path: str) -> dict[tuple[str, str | None], tuple[str, str, int]]
     file or the row."""
     labels: dict[tuple[str, str | None], tuple[str, str, int]] = {}
     text, _ = _read_text(path, "labels CSV")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(lineno, row) for lineno, line in lines if (row := line.strip()) and row[0] != "#"]
+    for n, (lineno, line) in enumerate(rows):
         parts = [p.strip() for p in line.split(",")]
-        if lineno == 1 and parts[0] == "file":
+        if n == 0 and parts[0] == "file":
             continue  # header
         if len(parts) in (3, 4) and parts[2] in LABELS:
             file, contract, rest = parts[0], parts[1], parts[2:]
