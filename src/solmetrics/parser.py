@@ -6,9 +6,9 @@ top-level item (contract, file-level body left open, import missing its
 ';', truncated header, statements nested deeper than :data:`MAX_NESTING`)
 produces one diagnostic while the rest of the file is still parsed
 (skip-to-next-top-level recovery). Every file-level item outside a
-contract is skipped by one rule: through its braced body or its ';'
-outside parentheses and brackets, or up to the next pragma, import or
-contract header.
+contract is skipped by one rule: up to the next pragma, import or
+contract header, even one inside an open '(' or '[', or else through its
+braced body or its ';' outside parentheses and brackets.
 
 The parser reads the comment-free kind, text and line lists of a
 :class:`~solmetrics.lexer.TokenStream` by index, so it builds no
@@ -756,21 +756,21 @@ def _recover_to_top_level(cur: _Cursor) -> None:
 
 
 def _skip_toplevel_item(cur: _Cursor) -> None:
-    """Skip a file-level item outside a contract: through its braced body or
-    its ';' outside parentheses and brackets, or up to the next pragma,
-    import or contract header. A body that never closes is ``unbalanced
-    '{'``."""
+    """Skip a file-level item outside a contract: up to the next pragma,
+    import or contract header, whatever brackets are open, or else through
+    its braced body or its ';' outside parentheses and brackets. A body
+    that never closes is ``unbalanced '{'``."""
     depth = 0
     while cur.i < cur.n:
         text = cur.texts[cur.i]
+        if _starts_top_level(cur.kinds[cur.i], text):
+            return
         if depth == 0:
             if text == "{":
                 _collect_balanced(cur, "{", "}")
                 return
             if text == ";":
                 cur.i += 1
-                return
-            if _starts_top_level(cur.kinds[cur.i], text):
                 return
         if text in "([":
             depth += 1
@@ -786,9 +786,9 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
     :class:`~solmetrics.lexer.Token`.
 
     Every well-formed top-level contract/interface/library becomes one
-    :class:`ContractDef`. Any other file-level item is skipped through its
-    braced body or its ';', or up to the next pragma, import or contract
-    header. A malformed top-level item, including a contract whose
+    :class:`ContractDef`. Any other file-level item is skipped up to the
+    next pragma, import or contract header, or else through its braced body
+    or its ';'. A malformed top-level item, including a contract whose
     statements nest deeper than :data:`MAX_NESTING`, a file-level body
     left open (``unbalanced '{'``) and an import missing its ';' (recorded
     all the same), becomes one diagnostic and parsing resumes at the next

@@ -239,6 +239,8 @@ _STATEMENT_KINDS = [
     ("for x;", (1, 0, 0, 1)),
     ("unchecked x = 1;", (1, 0, 0, 1)),
     ("pragma solidity ^0.8.0;", (1, 0, 0, 1)),
+    # a jump without its ';' runs on to the next ';', as any plain statement does
+    ("if (x) break\ny = 1;", (2, 1, 1, 2)),
     # the ';' a bodiless try or catch leaves behind counts as a statement of its own
     ("try foo(); y = 1;", (1, 0, 0, 3)),
     ("try g() {} catch; y = 1;", (1, 0, 0, 3)),
@@ -280,6 +282,8 @@ def test_call_sites_and_guards():
     # the guard is not an invocation, a call nested in its arguments is
     assert fn_metrics('require(check(x), "m");').noi == 1
     assert fn_metrics("assert(ok);").noi == 0
+    # an opaque braced return value is no invocation
+    assert fn_metrics("return {a: f()};").noi == 0
     # a dotted path is one invocation
     assert fn_metrics("token.transfer(to, 1);").noi == 1
     # `new X(...)` is an invocation, and X is a name the contract refers to
@@ -331,6 +335,11 @@ contract A { uint y; }
     unit = parse_source("function broken(uint x)\ncontract B { uint z; }\n")
     assert [(c.name, c.state_vars) for c in unit.contracts] == [("B", ["z"])]
     assert not unit.diagnostics
+    # so does one that leaves a '(' or a '[' open
+    for src in ("function f(uint x\ncontract B { uint z; }", "uint constant X = f(\ncontract B { uint z; }"):
+        unit = parse_source(src)
+        assert [(c.name, c.state_vars) for c in unit.contracts] == [("B", ["z"])]
+        assert not unit.diagnostics
     # an item's braced body ends it, whatever brackets it leaves open
     unit = parse_source("x { g(; }\ncontract B {}")
     assert [c.name for c in unit.contracts] == ["B"]

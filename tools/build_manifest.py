@@ -76,12 +76,16 @@ def load_labels(path: str) -> dict[tuple[str, str | None], tuple[str, str, int]]
     file or the row."""
     labels: dict[tuple[str, str | None], tuple[str, str, int]] = {}
     text, _ = _read_text(path, "labels CSV")
-    lines = enumerate(text.splitlines(), start=1)
-    rows = [(lineno, row) for lineno, line in lines if (row := line.strip()) and row[0] != "#"]
-    for n, (lineno, line) in enumerate(rows):
+    seen_row = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         parts = [p.strip() for p in line.split(",")]
-        if n == 0 and parts[0] == "file":
-            continue  # header
+        is_header = not seen_row and parts[0] == "file"
+        seen_row = True
+        if is_header:
+            continue
         if len(parts) in (3, 4) and parts[2] in LABELS:
             file, contract, rest = parts[0], parts[1], parts[2:]
         elif len(parts) in (2, 3) and parts[1] in LABELS:
