@@ -1,14 +1,16 @@
 """Recursive-descent parser for the supported Solidity subset.
 
 The parser is tolerant by construction: constructs outside the subset are
-brace-matched and swallowed as opaque statements, and a malformed
-top-level item (contract, file-level body left open, import missing its
-';', truncated header, statements nested deeper than :data:`MAX_NESTING`)
-produces one diagnostic while the rest of the file is still parsed
-(skip-to-next-top-level recovery). Every file-level item outside a
-contract is skipped by one rule: up to the next pragma, import or
-contract header, even one inside an open '(' or '[', or else through its
-braced body or its ';' outside parentheses and brackets.
+brace-matched and swallowed as opaque statements, and one rule bounds
+every top-level item: it ends at the next pragma, import or contract
+header, so a fault inside it never reaches the next one. Each item is
+parsed inside that window of tokens. A malformed item (a contract,
+file-level body left open, import missing its ';', truncated header,
+statements nested deeper than :data:`MAX_NESTING`, a pragma inside a
+contract) produces one diagnostic, and parsing resumes at the window's
+end. A file-level item outside a contract is skipped through its braced
+body or its ';' outside parentheses and brackets, or else to the end of
+its window.
 
 The parser reads the comment-free kind, text and line lists of a
 :class:`~solmetrics.lexer.TokenStream` by index, so it builds no
@@ -26,7 +28,8 @@ block or ``unchecked`` wrapper counts as no statement. Each
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from itertools import compress, count
 
 from .errors import ParseError
 from .lexer import (
@@ -88,9 +91,14 @@ class _Cursor:
     """Forward-only view over a stream's comment-free token lists.
 
     ``i`` indexes ``kinds``, ``texts``, ``starts`` and ``ends``. Index ``n``
-    is the stream's end-of-stream entry, whose empty text and kind match no
-    token, so reading at the cursor needs no bounds check. A token run is a
-    pair of indexes ``(lo, hi)``, ``hi`` excluded.
+    ends the window of the top-level item being parsed: every item ends at
+    the next pragma, import or contract header, so a fault inside it never
+    reaches the next one. The token at ``n`` is the stream's end-of-stream
+    entry (empty text and kind) or that header, whose kind is never
+    IDENTIFIER or PUNCTUATION and whose text no ``check`` or ``match``
+    looks for, so reading at the cursor needs no bounds check and the
+    cursor never passes ``n``. A token run is a pair of indexes ``(lo,
+    hi)``, ``hi`` excluded.
 
     ``depth`` counts the statements being parsed inside one another,
     ``item_line`` is the first line of the top-level item being parsed, and
@@ -117,9 +125,15 @@ class _Cursor:
         """Consume the token at the cursor; returns its index."""
         i = self.i
         if i == self.n:
-            raise ParseError("unexpected end of file", self.starts[i])
+            raise self.unexpected_end("unexpected end of file")
         self.i = i + 1
         return i
+
+    def unexpected_end(self, eof_message: str) -> ParseError:
+        """The error for an item cut off at the end of its window: it names
+        the header there, or at the end of file reads ``eof_message``."""
+        text = self.texts[self.n]
+        return ParseError(f"unexpected '{text}'" if text else eof_message, self.starts[self.n])
 
     def skip_path(self) -> str:
         """Consume the dotted identifier path at the cursor; returns its text."""
@@ -134,10 +148,6 @@ class _Cursor:
             self.i += 1
             return True
         return False
-
-    def line(self) -> int:
-        """Start line of the token at the cursor; the last code line at the end."""
-        return self.starts[self.i]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +173,7 @@ def _collect_balanced(cur: _Cursor, open_text: str, close_text: str) -> int:
     """Consume a balanced group including both delimiters; returns the index
     past it.
 
-    An unclosed group consumes the rest of the file before raising, so that
-    recovery does not resume inside it.
+    An unclosed group consumes the rest of the window before raising.
     """
     start = cur.i
     end = _group_end(cur.texts, start, cur.n, open_text, close_text)
@@ -455,12 +464,8 @@ def _parse_try(cur: _Cursor) -> None:
 
 
 def _parse_simple(cur: _Cursor) -> None:
-    """A pragma, an expression or declaration, an empty statement, or an
-    unknown block construct swallowed as opaque."""
-    if cur.kinds[cur.i] == PRAGMA_DIRECTIVE:
-        cur.advance()
-        _count(cur)
-        return
+    """An expression or declaration, an empty statement, or an unknown
+    block construct swallowed as opaque."""
     lo, hi, opaque = _collect_generic_run(cur)
     if opaque:
         _count(cur)
@@ -491,7 +496,7 @@ _STATEMENT_PARSERS = {
 def _parse_statement(cur: _Cursor) -> None:
     i = cur.i
     if i == cur.n:
-        raise ParseError("unexpected end of file in statement", cur.starts[i])
+        raise cur.unexpected_end("unexpected end of file in statement")
     if cur.depth >= MAX_NESTING:
         raise ParseError("nesting too deep", cur.item_line)
     text = cur.texts[i]
@@ -651,14 +656,14 @@ def _skip_layout(cur: _Cursor) -> None:
 
 
 def _parse_contract(cur: _Cursor) -> ContractDef:
-    first_line = cur.line()
+    first_line = cur.starts[cur.i]
     cur.match("abstract")
     kind_at = cur.advance()
     kind = cur.texts[kind_at]
     if kind not in _CONTRACT_KINDS:
         raise ParseError(f"expected contract keyword, found '{kind}'", cur.starts[kind_at])
     if cur.kinds[cur.i] != IDENTIFIER:
-        raise ParseError(f"missing name in {kind} header", cur.line())
+        raise ParseError(f"missing name in {kind} header", cur.starts[cur.i])
     name = cur.texts[cur.advance()]
     base_names: list[str] = []
     type_refs = cur.type_refs = set()
@@ -673,7 +678,7 @@ def _parse_contract(cur: _Cursor) -> ContractDef:
                 break
         _skip_layout(cur)
     if not cur.check("{"):
-        raise ParseError(f"expected '{{' in {kind} '{name}' header", cur.line())
+        raise ParseError(f"expected '{{' in {kind} '{name}' header", cur.starts[cur.i])
     opener = cur.advance()
     contract = ContractDef(name, kind, base_names, (first_line, cur.ends[opener]), type_refs)
     while not cur.check("}"):
@@ -728,43 +733,33 @@ def _parse_member(cur: _Cursor, contract: ContractDef) -> None:
         text == "error" and cur.kinds[i + 1] == IDENTIFIER and cur.check("(", 2)
     ):
         _collect_generic_run(cur)
-    elif cur.kinds[i] == PRAGMA_DIRECTIVE or text == ";":
+    elif text == ";":
         cur.advance()
     elif (var := _parse_state_var(cur)) is not None:
         contract.state_vars.append(var)
 
 
-def _starts_top_level(kind: str, text: str) -> bool:
-    """A pragma, an import or a contract header: where recovery resumes."""
-    return kind == PRAGMA_DIRECTIVE or (kind == KEYWORD and text in _TOP_LEVEL_KEYWORDS)
-
-
-def _recover_to_top_level(cur: _Cursor) -> None:
-    kinds, texts, n = cur.kinds, cur.texts, cur.n
-    depth = 0
-    i = cur.i
-    while i < n:
-        text = texts[i]
-        if text == "{":
-            depth += 1
-        elif text == "}":
-            depth = max(0, depth - 1)
-        elif depth == 0 and _starts_top_level(kinds[i], text):
-            break
-        i += 1
-    cur.i = i
+def _item_starts(cur: _Cursor) -> list[int]:
+    """Index of the first token of each top-level item: a pragma directive,
+    or an ``import``, ``abstract`` or contract keyword, save a contract
+    keyword right after ``abstract``, which belongs to it. The lexer gives
+    those keyword texts no other kind."""
+    texts = cur.texts
+    starts = list(compress(count(), map(_TOP_LEVEL_KEYWORDS.__contains__, texts)))
+    i = -1
+    for _ in range(cur.kinds.count(PRAGMA_DIRECTIVE)):
+        insort(starts, i := cur.kinds.index(PRAGMA_DIRECTIVE, i + 1))
+    return [i for i in starts if texts[i - 1] != "abstract" or texts[i] not in _CONTRACT_KINDS]
 
 
 def _skip_toplevel_item(cur: _Cursor) -> None:
-    """Skip a file-level item outside a contract: up to the next pragma,
-    import or contract header, whatever brackets are open, or else through
-    its braced body or its ';' outside parentheses and brackets. A body
-    that never closes is ``unbalanced '{'``."""
+    """Skip a file-level item outside a contract: through its braced body or
+    its ';' outside parentheses and brackets, or else to the end of its
+    window, the next pragma, import or contract header, whatever brackets
+    are open. A body that never closes is ``unbalanced '{'``."""
     depth = 0
     while cur.i < cur.n:
         text = cur.texts[cur.i]
-        if _starts_top_level(cur.kinds[cur.i], text):
-            return
         if depth == 0:
             if text == "{":
                 _collect_balanced(cur, "{", "}")
@@ -785,64 +780,65 @@ def parse_file(tokens: TokenStream, path: str) -> SourceUnit:
     The parser reads the stream's code lists and builds no
     :class:`~solmetrics.lexer.Token`.
 
-    Every well-formed top-level contract/interface/library becomes one
-    :class:`ContractDef`. Any other file-level item is skipped up to the
-    next pragma, import or contract header, or else through its braced body
-    or its ';'. A malformed top-level item, including a contract whose
+    Each top-level item ends at the next pragma, import or contract header,
+    so a fault inside it never reaches the next one: the file's header
+    indexes are found once, and each item is parsed with the cursor's end
+    set to the next one. Every well-formed top-level
+    contract/interface/library becomes one :class:`ContractDef`. Any other
+    file-level item is skipped through its braced body or its ';', or else
+    to that end. A malformed top-level item, including a contract whose
     statements nest deeper than :data:`MAX_NESTING`, a file-level body
-    left open (``unbalanced '{'``) and an import missing its ';' (recorded
-    all the same), becomes one diagnostic and parsing resumes at the next
-    top-level construct; no input raises. Duplicate contract names within
-    a file keep the first definition and diagnose the rest. The unit keeps
-    the stream as ``lines`` for :func:`line_accounting` and
-    :func:`normalized_contract_text`.
+    left open (``unbalanced '{'``), a pragma inside a contract and an
+    import missing its ';' (recorded all the same), becomes one diagnostic
+    and parsing resumes at the next header; no input raises. Duplicate
+    contract names within a file keep the first definition and diagnose
+    the rest. The unit keeps the stream as ``lines`` for
+    :func:`line_accounting` and :func:`normalized_contract_text`.
     """
     cur = _Cursor(tokens)
     kinds, texts = cur.kinds, cur.texts
     pragma: str | None = None
     imports: list[str] = []
-    contracts: list[ContractDef] = []
+    contracts: dict[str, ContractDef] = {}
     diagnostics: list[Diagnostic] = []
-    seen_names: set[str] = set()
-    while cur.i < cur.n:
-        text = texts[cur.i]
-        cur.item_line = cur.line()
-        try:
-            if kinds[cur.i] == PRAGMA_DIRECTIVE:
-                if pragma is None:
-                    pragma = text[len("pragma") :].strip().rstrip(";").strip()
-                cur.advance()
-            elif text == "import":
-                cur.advance()
-                parts = []
-                while cur.i < cur.n and (part := texts[cur.i]) != ";":
-                    if _starts_top_level(kinds[cur.i], part):
-                        break
-                    parts.append(part)
+    for end in [*_item_starts(cur), cur.n]:
+        cur.n = end  # the item's window ends before the next header
+        while cur.i < end:
+            text = texts[cur.i]
+            cur.item_line = cur.starts[cur.i]
+            try:
+                if kinds[cur.i] == PRAGMA_DIRECTIVE:
+                    if pragma is None:
+                        pragma = text[len("pragma") :].strip().rstrip(";").strip()
                     cur.advance()
-                imports.append(" ".join(parts))
-                if not cur.match(";"):
-                    raise ParseError("expected ';' after import", cur.item_line)
-            elif text in _CONTRACT_KINDS or text == "abstract":
-                contract = _parse_contract(cur)
-                if contract.name in seen_names:
-                    diagnostics.append(
-                        Diagnostic(
-                            path,
-                            contract.span[0],
-                            f"duplicate contract name '{contract.name}'",
+                elif text == "import":
+                    cur.advance()
+                    parts = []
+                    while cur.i < cur.n and (part := texts[cur.i]) != ";":
+                        parts.append(part)
+                        cur.advance()
+                    imports.append(" ".join(parts))
+                    if not cur.match(";"):
+                        raise ParseError("expected ';' after import", cur.item_line)
+                elif text in _CONTRACT_KINDS or text == "abstract":
+                    contract = _parse_contract(cur)
+                    if contract.name in contracts:
+                        diagnostics.append(
+                            Diagnostic(
+                                path,
+                                contract.span[0],
+                                f"duplicate contract name '{contract.name}'",
+                            )
                         )
-                    )
+                    else:
+                        contracts[contract.name] = contract
                 else:
-                    seen_names.add(contract.name)
-                    contracts.append(contract)
-            else:
-                _skip_toplevel_item(cur)
-        except ParseError as exc:
-            diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
-            cur.depth = 0
-            _recover_to_top_level(cur)
-    return SourceUnit(path, pragma, contracts, tokens, imports, diagnostics)
+                    _skip_toplevel_item(cur)
+            except ParseError as exc:
+                diagnostics.append(Diagnostic(path, exc.line, exc.args[0]))
+                cur.depth = 0
+                cur.i = end
+    return SourceUnit(path, pragma, list(contracts.values()), tokens, imports, diagnostics)
 
 
 def parse_source(source: str, path: str = "<string>") -> SourceUnit:

@@ -257,6 +257,32 @@ def test_unwritable_out_exits_1(tmp_path):
     assert not out.parent.exists()
 
 
+def test_unwritable_out_is_refused_before_the_tree_is_read(tmp_path, monkeypatch):
+    def parse_files(*args):
+        raise AssertionError("the tree was read")
+
+    monkeypatch.setattr(build_manifest, "parse_files", parse_files)
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A {}\n")
+    assert _refusal([str(root), "--out", str(tmp_path)]) == (
+        f"cannot write output {str(tmp_path)!r}: {os.strerror(errno.EISDIR)}"
+    )
+
+
+def test_refusal_keeps_an_existing_manifest(tmp_path):
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a.sol").write_text("contract A is B {}\n")
+    (root / "b.sol").write_text("contract B is A {}\n")
+    out = tmp_path / "manifest.csv"
+    out.write_text("file,contract,label,type\nold.sol,Old,neutral,\n")
+    assert _refusal([str(root), "--out", str(out)]) == (
+        "inheritance cycle: a.sol:A -> b.sol:B -> a.sol:A"
+    )
+    assert out.read_text() == "file,contract,label,type\nold.sol,Old,neutral,\n"
+
+
 def test_inheritance_cycle_exits_1_before_writing(tmp_path):
     root = tmp_path / "src"
     root.mkdir()

@@ -8,7 +8,7 @@ input in ``parse_facts_pin.txt``. A change that alters any of them, even
 on malformed input, fails here and names the inputs it changed.
 
 After an intended metric or parser change, regenerate the pin and say in
-CHANGES.md which inputs moved and why:
+CHANGES.md which inputs moved and why; ``--regen`` prints each one:
 
     PYTHONPATH=src python tests/test_parse_pin.py --regen
 """
@@ -18,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import sys
 
 from golden_corpus import GOLDEN
+from pins import changed_keys, read_pin, regen
 from solmetrics.corpus import _parse_sol_file
 from solmetrics.lexer import line_start_offsets, tokenize
 from test_realworld import LEGACY, MODERN
@@ -94,26 +94,13 @@ def current_digests(root: str) -> dict[str, str]:
     return out
 
 
-def read_pin() -> dict[str, str]:
-    with open(PIN, encoding="utf-8") as fh:
-        return dict(line.split() for line in fh if line.strip())
-
-
 def test_parse_facts_match_pin(tmp_path):
-    pinned = read_pin()
+    pinned = read_pin(PIN)
     current = current_digests(str(tmp_path))
     assert len(current) == len(base_sources()) + N_MUTATIONS
-    changed = sorted(k for k in current.keys() | pinned.keys() if current.get(k) != pinned.get(k))
+    changed = changed_keys(current, pinned)
     assert not changed, f"{len(changed)} inputs changed facts, first: {changed[:10]}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_parse_pin.py --regen")
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as root:
-        digests = current_digests(root)
-    with open(PIN, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{name} {digest}\n" for name, digest in digests.items())
-    print(f"wrote {len(digests)} digests to {PIN}")
+    regen(PIN, current_digests)

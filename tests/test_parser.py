@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import NESTING_SHAPES, nested_source
 from golden_corpus import GOLDEN
-from solmetrics.lexer import tokenize
+from solmetrics.lexer import KEYWORDS, tokenize
 from solmetrics.nodes import FunctionMetrics
 from solmetrics.parser import MAX_NESTING, parse_source
 from test_function_metrics import fn_metrics
+from test_parse_pin import base_sources
 
 BODYLESS = FunctionMetrics(1, 1, 0, 0, 0, 0, 0)
 
@@ -145,6 +146,44 @@ def test_parse_file_never_raises_on_golden_mutations(tokens, start, length, op):
     _parse_soup(mutated, "mutant.sol")
 
 
+_BASE_SOURCES = base_sources()
+# `abstract` is left out: before a contract header it starts that contract's item
+_JUNK = [
+    *sorted(KEYWORDS - {"abstract"}), *"(){}[];,.=<>+-*/%!&|^~?:", "x", "1", '"s"', "//c", "/*c*/"
+]
+
+
+@st.composite
+def _junk_lines(draw):
+    """A base source's name, a line of it, and 1-8 junk tokens to insert before that line."""
+    name = draw(st.sampled_from(sorted(_BASE_SOURCES)))
+    line = draw(st.integers(1, _BASE_SOURCES[name].count("\n") + 1))
+    return name, line, draw(st.lists(st.sampled_from(_JUNK), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_junk_lines())
+@example(("golden-strict_logical_operators", 1, ["mapping", "calldata", "{", "("]))
+@example(("golden-diamond_inheritance", 4, ["+", "receive", "address", "do", ")", "{"]))
+@example(("modern", 26, ["~", ">", "view", "public", "fallback", "{", "x", "import"]))
+def test_junk_line_never_changes_a_later_contract(junk_line):
+    name, line, junk = junk_line
+    lines = _BASE_SOURCES[name].split("\n")
+    clean = parse_source("\n".join(lines))
+    lines.insert(line - 1, " ".join(junk))
+    unit = parse_source("\n".join(lines))
+    parsed = {c.name: c for c in unit.contracts}
+    for contract in clean.contracts:
+        first, last = contract.span
+        if first >= line:
+            contract.span = (first + 1, last + 1)
+            assert parsed.get(contract.name) == contract
+        else:
+            # the junk may change the contract it lands in, or end it with
+            # a diagnostic, but never drop it silently
+            assert contract.name in parsed or unit.diagnostics
+
+
 def test_pragma_and_imports_recorded():
     unterminated = ["<string>:1: expected ';' after import"]
     cases = [
@@ -238,7 +277,6 @@ _STATEMENT_KINDS = [
     ("assembly;", (1, 0, 0, 1)),
     ("for x;", (1, 0, 0, 1)),
     ("unchecked x = 1;", (1, 0, 0, 1)),
-    ("pragma solidity ^0.8.0;", (1, 0, 0, 1)),
     # a jump without its ';' runs on to the next ';', as any plain statement does
     ("if (x) break\ny = 1;", (2, 1, 1, 2)),
     # the ';' a bodiless try or catch leaves behind counts as a statement of its own
@@ -344,10 +382,35 @@ contract A { uint y; }
     unit = parse_source("x { g(; }\ncontract B {}")
     assert [c.name for c in unit.contracts] == ["B"]
     assert not unit.diagnostics
-    # a file-level body that never closes is a diagnostic
+    # a file-level body that never closes is a diagnostic, and ends at the
+    # next contract header
     unit = parse_source("{\ncontract B {}", "bad.sol")
-    assert not unit.contracts
+    assert [c.name for c in unit.contracts] == ["B"]
     assert [str(d) for d in unit.diagnostics] == ["bad.sol:1: unbalanced '{'"]
+
+
+@pytest.mark.parametrize(
+    "src,contracts,diagnostic,pragma",
+    [
+        # a pragma is a file-level header: inside a function body or a
+        # contract (neither is valid Solidity) it ends the item, which is
+        # then left open
+        ("contract T { function f() public { pragma solidity ^0.8.0; } }",
+         [], "bad.sol:1: unbalanced '{'", "solidity ^0.8.0"),
+        ("contract A { pragma experimental ABIEncoderV2; uint y; }\ncontract B {}",
+         ["B"], "bad.sol:1: unbalanced braces in contract 'A'", "experimental ABIEncoderV2"),
+        # an item cut off by the next header names that header, not the end of file
+        ("contract A { modifier\ncontract B {}", ["B"], "bad.sol:2: unexpected 'contract'", None),
+        ("contract A { function f() public { if (x)\ncontract B {}",
+         ["B"], "bad.sol:2: unexpected 'contract'", None),
+    ],
+    ids=["pragma-in-function", "pragma-in-contract", "header-after-modifier", "header-after-if"],
+)
+def test_item_ends_at_the_next_header(src, contracts, diagnostic, pragma):
+    unit = parse_source(src, "bad.sol")
+    assert [c.name for c in unit.contracts] == contracts
+    assert [str(d) for d in unit.diagnostics] == [diagnostic]
+    assert unit.pragma == pragma
 
 
 def test_old_style_unnamed_fallback_function():

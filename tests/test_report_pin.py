@@ -15,7 +15,8 @@ set ``SEEDS = (1, 2)`` in two checkouts and diff their ``--regen`` output.
 The p-values go through libm ``exp``, ``log`` and ``log1p``, so a
 mismatch on a platform whose libm differs from CI's is a finding about
 the platform first. After an intended output change, regenerate the pin
-and say in CHANGES.md which outputs moved and why:
+and say in CHANGES.md which outputs moved and why; ``--regen`` prints
+each one:
 
     PYTHONPATH=src python tests/test_report_pin.py --regen
 """
@@ -29,6 +30,7 @@ import io
 import os
 import sys
 
+from pins import changed_keys, read_pin, regen
 from solmetrics.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,25 +106,12 @@ def current_digests(root: str) -> dict[str, str]:
     return out
 
 
-def read_pin() -> dict[str, str]:
-    with open(PIN, encoding="utf-8") as fh:
-        return dict(line.split() for line in fh if line.strip())
-
-
 def test_reports_match_pin(tmp_path):
-    pinned = read_pin()
+    pinned = read_pin(PIN)
     current = current_digests(str(tmp_path))
-    changed = sorted(k for k in current.keys() | pinned.keys() if current.get(k) != pinned.get(k))
+    changed = changed_keys(current, pinned)
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:10]}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_report_pin.py --regen")
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as root:
-        digests = current_digests(root)
-    with open(PIN, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{name} {digest}\n" for name, digest in digests.items())
-    print(f"wrote {len(digests)} digests to {PIN}")
+    regen(PIN, current_digests)

@@ -8,7 +8,7 @@ change that moves any token's kind, text or span, or any error, fails here
 and names the inputs it changed.
 
 After an intended lexer change, regenerate the pin and say in CHANGES.md
-which inputs moved and why:
+which inputs moved and why; ``--regen`` prints each one:
 
     PYTHONPATH=src python tests/test_token_pin.py --regen
 """
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sys
 
+from pins import changed_keys, read_pin, regen
 from solmetrics.errors import LexError
 from solmetrics.lexer import tokenize
 from test_parse_pin import pinned_inputs
@@ -38,23 +38,13 @@ def current_digests() -> dict[str, str]:
     return {name: token_digest(source) for name, source in pinned_inputs().items()}
 
 
-def read_pin() -> dict[str, str]:
-    with open(PIN, encoding="utf-8") as fh:
-        return dict(line.split() for line in fh if line.strip())
-
-
 def test_tokens_match_pin():
-    pinned = read_pin()
+    pinned = read_pin(PIN)
     current = current_digests()
     assert len(current) == len(pinned) == 518
-    changed = sorted(k for k in current.keys() | pinned.keys() if current.get(k) != pinned.get(k))
+    changed = changed_keys(current, pinned)
     assert not changed, f"{len(changed)} inputs changed tokens, first: {changed[:10]}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_token_pin.py --regen")
-    digests = current_digests()
-    with open(PIN, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{name} {digest}\n" for name, digest in digests.items())
-    print(f"wrote {len(digests)} digests to {PIN}")
+    regen(PIN, lambda _root: current_digests())

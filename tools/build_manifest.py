@@ -26,7 +26,10 @@ file. A label row that labels no contract is reported on stderr as
 ``skipped LABELS:LINE: ...``: no such file or contract, a file that does
 not parse, or a per-file row whose contracts all have rows of their own.
 
-These exit 1 with one line on stderr, before any manifest is written:
+An ``--out`` that cannot be written exits 1 first, before the tree is
+walked, as ``cannot write output '<path>': <reason>``. These exit 1 after
+it with one line on stderr, before any manifest is written; they leave no
+file the run created, and a manifest already at ``--out`` as it was:
 
 - a labels CSV that cannot be read or is not valid UTF-8;
 - a label row of neither form, extra fields included;
@@ -35,9 +38,7 @@ These exit 1 with one line on stderr, before any manifest is written:
 - two label rows for one key (a file and contract, or a file), naming
   both lines;
 - a source root that is not a directory;
-- an inheritance cycle, which every corpus command refuses;
-- an ``--out`` that cannot be written, as ``cannot write output
-  '<path>': <reason>``.
+- an inheritance cycle, which every corpus command refuses.
 
 Example:
 
@@ -109,6 +110,10 @@ def _manifest_can_hold(path: str) -> bool:
     return "," not in path and path.splitlines() == [path] and path.strip() == path
 
 
+def _cannot_write(path: str, exc: OSError) -> str:
+    return f"cannot write output {path!r}: {exc.strerror or exc}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("root", help="directory tree of .sol files")
@@ -117,6 +122,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--default-label", default=LABEL_NEUTRAL, choices=LABELS)
     args = parser.parse_args(argv)
 
+    # open --out before the tree is read: appending creates a missing file
+    # and truncates none, so a later refusal can leave things as they were
+    created = not os.path.lexists(args.out)
+    try:
+        open(args.out, "ab").close()
+    except OSError as exc:
+        sys.exit(_cannot_write(args.out, exc))
     walked: list[str] = []
     try:
         labels = load_labels(args.labels) if args.labels else {}
@@ -132,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         files = [rel for rel in walked if _manifest_can_hold(rel)]
         parsed = {pf.path: pf for pf in parse_files(args.root, files, available_cpus())}
     except CorpusError as exc:
+        if created:
+            os.remove(args.out)
         sys.exit(str(exc))
 
     rows: list[str] = []
@@ -162,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(",".join(MANIFEST_HEADER) + "\n")
             fh.write("\n".join(rows) + ("\n" if rows else ""))
     except OSError as exc:
-        sys.exit(f"cannot write output {args.out!r}: {exc.strerror or exc}")
+        sys.exit(_cannot_write(args.out, exc))
 
     print(
         f"wrote {len(rows)} entries to {args.out} "
